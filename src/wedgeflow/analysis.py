@@ -54,10 +54,7 @@ def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
     n = fem.mesh.n_elem
     h = 1.0 / n
     v, d1, _ = _scaled_tables(fem.family, rule, h, np.float64)
-    from .solver import _dof_table
-
-    dofs = _dof_table(fem.family, n)
-    ce = fem.coeffs[dofs]
+    ce = fem.coeffs[fem.dofmap.element_dofs]
     fh = ce @ v
     fph = ce @ d1
     x = (np.arange(n)[:, None] + rule.points[None, :]) * h
@@ -173,9 +170,7 @@ def duality_pairing_check(fem: FemSolution, problem: JhProblem) -> tuple[float, 
     n = fem.mesh.n_elem
     h = 1.0 / n
     v, d1, d2 = _scaled_tables(fem.family, rule, h, np.float64)
-    from .solver import _dof_table
-
-    ce = fem.coeffs[_dof_table(fem.family, n)]
+    ce = fem.coeffs[fem.dofmap.element_dofs]
     f = ce @ v
     fp = ce @ d1
     fpp = ce @ d2

@@ -382,10 +382,9 @@ def cmd_check(args) -> int:
     if fem.converged:
         lhs, rhs, diff = duality_pairing_check(fem, problem)
         report("duality pairing identity", abs(diff) <= 1e-9, f"|lhs - rhs| = {abs(diff):.2e}")
-        bc_ok = (
-            fem.coeffs[0] == 1.0
-            and fem.coeffs[1] == 0.0
-            and fem.coeffs[2 * fem.mesh.n_elem] == 0.0
+        bc_ok = all(
+            fem.coeffs[fem.dofmap.endpoint(kind, side)] == value
+            for (kind, side), value in jh_constraints().items()
         )
         report("boundary conditions", bc_ok, "direct DOF reads")
     else:

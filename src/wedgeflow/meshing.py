@@ -39,9 +39,12 @@ def build_mesh(n_elem: int) -> Mesh1D:
 class DofMap:
     """Element-to-global DOF table with constraint bookkeeping.
 
-    Numbering is blocked: nodal DOFs first (node-major; value then slope for
-    the Hermite family), element bubbles appended afterwards.  `constraints`
-    maps global DOF index to its prescribed value.
+    Numbering runs element by element: the left node's DOFs (value, then slope
+    for the Hermite family), then the element's bubbles, then the next
+    element, ending with the last node's DOFs.  Each row of `element_dofs` is
+    therefore one contiguous index range, in the family's local order (left
+    node, right node, bubbles), and the half-bandwidth equals the degree p.
+    `constraints` maps global DOF index to its prescribed value.
     """
 
     family: ElementFamily
@@ -60,18 +63,28 @@ class DofMap:
             mask[i] = False
         return mask
 
+    def endpoint(self, kind: str, side: int) -> int:
+        """Global index of the `kind` DOF ("value" or "slope") at eta = `side`."""
+        col = _node_column(self.family, kind, side)
+        return int(self.element_dofs[-1 if side else 0, col])
 
-def _endpoint_dof(family: ElementFamily, n_elem: int, kind: str, side: int) -> int:
+    def nodal_dofs(self, kind: str) -> np.ndarray:
+        """Global indices of the `kind` DOF at every mesh node, left to right."""
+        left = self.element_dofs[:, _node_column(self.family, kind, 0)]
+        return np.append(left, self.endpoint(kind, 1))
+
+
+def _node_column(family: ElementFamily, kind: str, side: int) -> int:
+    """Local column of the `kind` DOF at the element's left (0) or right (1) node."""
     if side not in (0, 1):
         raise ValueError(f"constraint side must be 0 or 1, got {side!r}")
     if kind not in (VALUE, SLOPE):
         raise ValueError(f"constraint kind must be 'value' or 'slope', got {kind!r}")
     if family.kind == HERMITE:
-        base = 0 if side == 0 else 2 * n_elem
-        return base + (0 if kind == VALUE else 1)
+        return 2 * side + (0 if kind == VALUE else 1)
     if kind == SLOPE:
         raise ValueError("hierarchic elements carry no slope DOFs to constrain")
-    return 0 if side == 0 else n_elem
+    return side
 
 
 def build_dofmap(mesh: Mesh1D, family: ElementFamily, bcs: dict | None = None) -> DofMap:
@@ -91,30 +104,18 @@ def build_dofmap(mesh: Mesh1D, family: ElementFamily, bcs: dict | None = None) -
     """
     n = mesh.n_elem
     p = family.degree
-    if family.kind == HERMITE:
-        n_bubbles = p - 3
-        n_nodal = 2 * (n + 1)
-        table = np.empty((n, p + 1), dtype=np.intp)
-        for e in range(n):
-            table[e, :4] = (2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3)
-            for k in range(n_bubbles):
-                table[e, 4 + k] = n_nodal + e * n_bubbles + k
-    else:
-        n_bubbles = p - 1
-        n_nodal = n + 1
-        table = np.empty((n, p + 1), dtype=np.intp)
-        for e in range(n):
-            table[e, :2] = (e, e + 1)
-            for k in range(n_bubbles):
-                table[e, 2 + k] = n_nodal + e * n_bubbles + k
-    n_global = n_nodal + n * n_bubbles
+    per_node = 2 if family.kind == HERMITE else 1
+    stride = p + 1 - per_node  # one node's DOFs plus one element's bubbles
+    start = stride * np.arange(n, dtype=np.intp)[:, None]
+    node = np.arange(per_node, dtype=np.intp)
+    bubbles = np.arange(per_node, stride, dtype=np.intp)
+    table = start + np.concatenate([node, stride + node, bubbles])
     half_bw = int(np.max(table.max(axis=1) - table.min(axis=1)))
-    constraints = {}
-    for (kind, side), value in (bcs or {}).items():
-        idx = _endpoint_dof(family, n, kind, side)
-        constraints[idx] = float(value)
     table.setflags(write=False)
-    return DofMap(family, table, n_global, half_bw, constraints)
+    dofmap = DofMap(family, table, n * stride + per_node, half_bw)
+    for (kind, side), value in (bcs or {}).items():
+        dofmap.constraints[dofmap.endpoint(kind, side)] = float(value)
+    return dofmap
 
 
 def jh_constraints() -> dict:

@@ -87,19 +87,14 @@ def _assemble(cfg: ModelConfig, dofmap, rule):
         block = np.einsum("jq,iq,q->ij", w, w, wts) * h
         test = w
     ele = dofmap.element_dofs
-    p1 = p + 1
-    for a in range(p1):
-        for b in range(p1):
-            mat.add_at(ele[:, a], ele[:, b], np.full(n, block[a, b]))
+    mat.add_elements(ele, block)
     x = (np.arange(n, dtype=_LD)[:, None] + pts[None, :]) * h
     g = forcing(x)
     local_rhs = np.einsum("nq,iq,q->ni", g, test, wts) * h
     np.add.at(rhs, ele, local_rhs)
     if cfg.formulation == GALERKIN:
         end = eval_hierarchic(p, np.array([1.0], dtype=_LD)).values[:, 0]
-        idx = ele[-1]
-        for a in range(p1):
-            mat.add_at(idx, np.full(p1, idx[a]), (end * end[a]).astype(_LD))
+        mat.add_elements(ele[-1:], np.outer(end, end))
     return mat, rhs
 
 

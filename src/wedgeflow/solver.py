@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .basis import HERMITE, ElementFamily, eval_family
-from .meshing import DofMap, Mesh1D, build_dofmap, jh_constraints
+from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, build_mesh, jh_constraints
 from .quadrature import QuadratureRule, gauss_legendre, required_points
 
 _LD = np.longdouble
@@ -93,6 +93,25 @@ class BandedMatrix:
         if np.any(np.abs(rows - cols) > self.k):
             raise ValueError("entry outside declared half-bandwidth")
         np.add.at(self.data, (2 * self.k + rows - cols, cols), values)
+
+    def add_elements(self, element_dofs: np.ndarray, local: np.ndarray):
+        """Scatter-add local[e, a, b] at (element_dofs[e, a], element_dofs[e, b]).
+
+        `local` is (n_elem, m, m) or one (m, m) block shared by every element.
+        Only neighbouring elements share DOFs, so the even and the odd
+        elements each go in one fancy-index pass without repeated indices,
+        which adds exactly and keeps the dtype of `data`.
+        """
+        rows = element_dofs[:, :, None]
+        cols = element_dofs[:, None, :]
+        if np.any(np.abs(rows - cols) > self.k):
+            raise ValueError("entry outside declared half-bandwidth")
+        diag = 2 * self.k + rows - cols
+        cols = np.broadcast_to(cols, diag.shape)
+        local = np.broadcast_to(local, diag.shape)
+        for first in (0, 1):
+            sel = slice(first, None, 2)
+            self.data[diag[sel], cols[sel]] += local[sel]
 
     def set_identity_row(self, i: int):
         j = np.arange(max(0, i - self.k), min(self.n, i + self.k + 1))
@@ -173,10 +192,6 @@ def _scaled_tables(family: ElementFamily, rule: QuadratureRule, h, dtype):
     return v, d1, d2
 
 
-def _slope_right_dof(dofmap: DofMap) -> int:
-    return 2 * dofmap.n_elem + 1
-
-
 def _check_rule(dofmap: DofMap, rule: QuadratureRule):
     if dofmap.family.kind != HERMITE:
         raise ValueError("wedge-flow assembly requires the Hermite family")
@@ -215,7 +230,7 @@ def assemble_residual(
     local = np.einsum("niq,nq->ni", oper, fp * wts) * h
     out = np.zeros(dofmap.n_global, dtype=dtype)
     np.add.at(out, dofmap.element_dofs, local)
-    s1 = _slope_right_dof(dofmap)
+    s1 = dofmap.endpoint(SLOPE, 1)
     out[s1] -= coeffs[s1]  # boundary term -f'(1) phi_i'(1)
     for i, val in dofmap.constraints.items():
         out[i] = coeffs[i] - scal(val)
@@ -243,12 +258,8 @@ def assemble_jacobian(
     local = np.einsum("nq,iq,jq->nij", c * fp * wts, v, v) * h
     local += np.einsum("niq,jq->nij", oper * wts[None, None, :], d1) * h
     mat = BandedMatrix(dofmap.n_global, dofmap.half_bandwidth)
-    p1 = dofmap.family.degree + 1
-    ele = dofmap.element_dofs
-    for a in range(p1):
-        for b in range(p1):
-            mat.add_at(ele[:, a], ele[:, b], local[:, a, b])
-    s1 = _slope_right_dof(dofmap)
+    mat.add_elements(dofmap.element_dofs, local)
+    s1 = dofmap.endpoint(SLOPE, 1)
     mat.add_at(np.array([s1]), np.array([s1]), np.array([-1.0]))
     for i in dofmap.constraints:
         mat.set_identity_row(i)
@@ -291,7 +302,7 @@ class FemSolution:
         if self.family.kind == HERMITE:
             scale[1] = h
             scale[3] = h
-        dofs = _dof_table(self.family, n)[elem]  # (m, p+1)
+        dofs = self.dofmap.element_dofs[elem]  # (m, p+1)
         ce = self.coeffs[dofs] * scale
         f = np.einsum("mi,im->m", ce, shapes.values)
         fp = np.einsum("mi,im->m", ce, shapes.first_derivs) / h
@@ -302,18 +313,21 @@ class FemSolution:
             return float(f[0]), float(fp[0]), (None if fpp is None else float(fpp[0]))
         return f, fp, fpp
 
+    @property
+    def dofmap(self) -> DofMap:
+        """The (unconstrained) DOF numbering that `coeffs` is ordered by."""
+        return _dofmap(self.family, self.mesh.n_elem)
+
     def fp_right(self) -> float:
         """f'(1) read directly from the slope DOF at eta = 1."""
         if self.family.kind != HERMITE:
             raise ValueError("slope DOFs exist only for the Hermite family")
-        return float(self.coeffs[2 * self.mesh.n_elem + 1])
+        return float(self.coeffs[self.dofmap.endpoint(SLOPE, 1)])
 
 
 @lru_cache(maxsize=None)
-def _dof_table(family: ElementFamily, n_elem: int) -> np.ndarray:
-    from .meshing import build_mesh
-
-    return build_dofmap(build_mesh(n_elem), family).element_dofs
+def _dofmap(family: ElementFamily, n_elem: int) -> DofMap:
+    return build_dofmap(build_mesh(n_elem), family)
 
 
 def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOptions):
@@ -352,11 +366,10 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
 def poiseuille_guess(dofmap: DofMap, dtype=_LD) -> np.ndarray:
     """Hermite interpolant of 1 - eta^2 (bubbles zero), constraints seeded."""
     scal = np.dtype(dtype).type
-    n = dofmap.n_elem
-    nodes = np.linspace(0, 1, n + 1).astype(dtype)
+    nodes = np.linspace(0, 1, dofmap.n_elem + 1).astype(dtype)
     coeffs = np.zeros(dofmap.n_global, dtype=dtype)
-    coeffs[0 : 2 * (n + 1) : 2] = 1 - nodes**2
-    coeffs[1 : 2 * (n + 1) : 2] = -2 * nodes
+    coeffs[dofmap.nodal_dofs(VALUE)] = 1 - nodes**2
+    coeffs[dofmap.nodal_dofs(SLOPE)] = -2 * nodes
     for i, val in dofmap.constraints.items():
         coeffs[i] = scal(val)
     return coeffs

@@ -9,6 +9,11 @@ import wedgeflow as wf
 # The three benchmark (Re, alpha_deg) cases.
 CASES = ((30.0, 15.0), (110.0, 3.0), (-80.0, 5.0))
 
+# Every supported element family: Hermite p=3..5 and hierarchic p=1..5.
+FAMILIES = [wf.hermite_family(p) for p in (3, 4, 5)] + [
+    wf.hierarchic_family(p) for p in (1, 2, 3, 4, 5)
+]
+
 JH_MESHES = (20, 40, 80, 160, 320)
 MODEL_MESHES = (8, 16, 32, 64, 128)
 

@@ -236,7 +236,10 @@ def test_duality_identity_off_solution(fine_solutions):
     prob, fem = fine_solutions[(30.0, 15.0)]
     rng = np.random.default_rng(11)
     coeffs = fem.coeffs + 0.1 * rng.standard_normal(fem.coeffs.size)
-    coeffs[0], coeffs[1], coeffs[2 * fem.mesh.n_elem] = 1.0, 0.0, 0.0
+    dm = fem.dofmap
+    coeffs[dm.endpoint(wf.VALUE, 0)] = 1.0
+    coeffs[dm.endpoint(wf.SLOPE, 0)] = 0.0
+    coeffs[dm.endpoint(wf.VALUE, 1)] = 0.0
     bent = wf.FemSolution(fem.mesh, fem.family, coeffs, True, 0, 0.0)
     lhs, rhs, diff = wf.duality_pairing_check(bent, prob)
     assert abs(lhs) > 1.0  # genuinely off the solution

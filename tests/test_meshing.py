@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wedgeflow as wf
+from conftest import FAMILIES
 from wedgeflow import SLOPE, VALUE
 
 
@@ -55,9 +56,21 @@ def test_hierarchic_dof_counts():
 def test_half_bandwidth():
     # p=3 couples only the four nodal DOFs of one element
     assert wf.build_dofmap(wf.build_mesh(4), wf.hermite_family(3)).half_bandwidth == 3
-    # appended bubbles stretch the band to the tail block
-    assert wf.build_dofmap(wf.build_mesh(2), wf.hermite_family(4)).half_bandwidth == 6
-    assert wf.build_dofmap(wf.build_mesh(3), wf.hierarchic_family(2)).half_bandwidth == 4
+    # bubbles are numbered with their element, so the band stays p wide
+    assert wf.build_dofmap(wf.build_mesh(2), wf.hermite_family(4)).half_bandwidth == 4
+    assert wf.build_dofmap(wf.build_mesh(3), wf.hierarchic_family(2)).half_bandwidth == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 320, 2560])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
+def test_element_by_element_numbering(family, n):
+    dm = wf.build_dofmap(wf.build_mesh(n), family)
+    assert dm.half_bandwidth == family.degree
+    # each element's DOFs form one contiguous index range ...
+    rows = np.sort(dm.element_dofs, axis=1)
+    assert np.array_equal(rows, rows[:, :1] + np.arange(family.degree + 1))
+    # ... and together the elements number every global DOF
+    assert np.array_equal(np.unique(dm.element_dofs), np.arange(dm.n_global))
 
 
 def test_constraint_indices():
@@ -65,6 +78,14 @@ def test_constraint_indices():
     assert dm.constraints == {0: 1.0, 1: 0.0, 10: 0.0}
     dm = wf.build_dofmap(wf.build_mesh(5), wf.hierarchic_family(2), wf.model_constraints())
     assert dm.constraints == {0: 1.0}
+    # p=5 Hermite: node k holds DOFs 4k, 4k+1; element k's bubbles are 4k+2, 4k+3
+    dm = wf.build_dofmap(wf.build_mesh(3), wf.hermite_family(5), wf.jh_constraints())
+    assert dm.constraints == {0: 1.0, 1: 0.0, 12: 0.0}
+    assert dm.endpoint(SLOPE, 1) == 13
+    assert dm.nodal_dofs(VALUE).tolist() == [0, 4, 8, 12]
+    assert dm.nodal_dofs(SLOPE).tolist() == [1, 5, 9, 13]
+    # p=3 hierarchic: node k holds DOF 3k
+    assert wf.build_dofmap(wf.build_mesh(3), wf.hierarchic_family(3)).endpoint(VALUE, 1) == 9
 
 
 def test_constraint_errors():

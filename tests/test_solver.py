@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wedgeflow as wf
-from conftest import CASES, make_problem
+from conftest import CASES, FAMILIES, make_problem
 
 # Tabulated f(0.5) / f(0.9) reference values for the three cases at N=320, p=4.
 TABLE_SPOTS = {
@@ -72,6 +72,36 @@ def test_banded_singular_names_pivot():
     with pytest.raises(wf.SingularMatrixError) as exc:
         wf.solve_banded(mat, np.ones(3))
     assert "pivot at index" in str(exc.value)
+
+
+def _add_at_loop(mat, element_dofs, local):
+    """Reference scatter: one add_at per local (a, b) entry."""
+    for a in range(element_dofs.shape[1]):
+        for b in range(element_dofs.shape[1]):
+            mat.add_at(element_dofs[:, a], element_dofs[:, b], local[:, a, b])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [1, 7, 640])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
+def test_add_elements_matches_add_at_loop(family, n, dtype):
+    dm = wf.build_dofmap(wf.build_mesh(n), family)
+    p1 = family.degree + 1
+    # division in `dtype` fills the longdouble mantissa beyond float64's
+    local = np.random.default_rng(n).standard_normal((n, p1, p1)).astype(dtype) / dtype(3)
+    for blocks in (local, local[0]):  # per-element blocks, one shared block
+        ref = wf.BandedMatrix(dm.n_global, dm.half_bandwidth, dtype=dtype)
+        _add_at_loop(ref, dm.element_dofs, np.broadcast_to(blocks, local.shape))
+        mat = wf.BandedMatrix(dm.n_global, dm.half_bandwidth, dtype=dtype)
+        mat.add_elements(dm.element_dofs, blocks)
+        assert mat.data.dtype == np.dtype(dtype)
+        assert np.array_equal(mat.data, ref.data)
+
+
+def test_add_elements_rejects_out_of_band():
+    mat = wf.BandedMatrix(6, 1)
+    with pytest.raises(ValueError):
+        mat.add_elements(np.array([[0, 3]]), np.ones((2, 2)))
 
 
 def test_fluid_props():
@@ -212,10 +242,10 @@ def test_table_spot_values(case, fine_solutions):
 @pytest.mark.parametrize("case", CASES)
 def test_boundary_conditions_exact(case, fine_solutions):
     _, fem = fine_solutions[case]
-    n = fem.mesh.n_elem
-    assert fem.coeffs[0] == 1.0
-    assert fem.coeffs[1] == 0.0
-    assert fem.coeffs[2 * n] == 0.0
+    dm = fem.dofmap
+    assert fem.coeffs[dm.endpoint(wf.VALUE, 0)] == 1.0
+    assert fem.coeffs[dm.endpoint(wf.SLOPE, 0)] == 0.0
+    assert fem.coeffs[dm.endpoint(wf.VALUE, 1)] == 0.0
 
 
 def test_newton_iters_mesh_independent():
@@ -276,3 +306,18 @@ def test_poiseuille_guess_seeds_constraints():
     dm = wf.build_dofmap(wf.build_mesh(5), wf.hermite_family(3), wf.jh_constraints())
     coeffs = wf.poiseuille_guess(dm)
     assert coeffs[0] == 1.0 and coeffs[1] == 0.0 and coeffs[10] == 0.0
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_evaluate_at_nodes_reads_nodal_dofs(p):
+    # element-by-element numbering: node k holds value DOF k(p-1), slope k(p-1)+1
+    mesh = wf.build_mesh(7)
+    family = wf.hermite_family(p)
+    dm = wf.build_dofmap(mesh, family)
+    coeffs = np.random.default_rng(p).standard_normal(dm.n_global)
+    fem = wf.FemSolution(mesh, family, coeffs, True, 0, 0.0)
+    value_dofs = (p - 1) * np.arange(mesh.n_elem + 1)
+    f, fp, _ = fem.evaluate(mesh.nodes)
+    np.testing.assert_allclose(f, coeffs[value_dofs], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fp, coeffs[value_dofs + 1], rtol=0, atol=1e-12)
+    assert abs(fem.fp_right() - fem.evaluate(1.0)[1]) <= 1e-12
