@@ -11,7 +11,7 @@ import numpy as np
 from .basis import HERMITE
 from .quadrature import QuadratureRule, gauss_legendre
 from .shooting import ReferenceSolution, evaluate_reference
-from .solver import FemSolution, FluidProps, JhProblem, _scaled_tables
+from .solver import FemSolution, FluidProps, JhProblem, quadrature_fields
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
     evaluator = _reference_evaluator(ref)
     n = fem.mesh.n_elem
     h = 1.0 / n
-    v, d1, _ = _scaled_tables(fem.family, rule, h, np.float64)
-    ce = fem.coeffs[fem.dofmap.element_dofs]
-    fh = ce @ v
-    fph = ce @ d1
+    _, (fh, fph) = quadrature_fields(fem.dofmap, fem.coeffs, rule, h)
     x = (np.arange(n)[:, None] + rule.points[None, :]) * h
     ref_vals = evaluator(x.ravel())
     fr = np.asarray(ref_vals[0]).reshape(n, -1)
@@ -169,11 +166,7 @@ def duality_pairing_check(fem: FemSolution, problem: JhProblem) -> tuple[float, 
     rule = gauss_legendre(math.ceil((3 * p + 1) / 2))
     n = fem.mesh.n_elem
     h = 1.0 / n
-    v, d1, d2 = _scaled_tables(fem.family, rule, h, np.float64)
-    ce = fem.coeffs[fem.dofmap.element_dofs]
-    f = ce @ v
-    fp = ce @ d1
-    fpp = ce @ d2
+    _, (f, fp, fpp) = quadrature_fields(fem.dofmap, fem.coeffs, rule, h, n_derivs=2)
     c = 2.0 * problem.reynolds * problem.alpha
     a2 = 4.0 * problem.alpha**2
     integrand = fp * (fpp + c * f**2 + a2 * f)

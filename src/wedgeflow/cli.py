@@ -7,8 +7,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,15 +20,11 @@ from .analysis import (
 )
 from .basis import hermite_family
 from .meshing import build_dofmap, build_mesh, jh_constraints
-from .model_problem import (
-    GALERKIN,
-    LEAST_SQUARES,
-    ModelConfig,
-    exact_pair,
-    solve_model,
-)
+# `solve_model` and `evaluate_reference` are not called here; they stay
+# attributes of this module because perfbench/tracer.py wraps them at `cli` too.
+from .model_problem import GALERKIN, LEAST_SQUARES, model_convergence, solve_model  # noqa: F401
 from .quadrature import gauss_legendre, required_points
-from .shooting import ShootingError, evaluate_reference, shoot
+from .shooting import ShootingError, evaluate_reference, shoot  # noqa: F401
 from .solver import (
     FluidProps,
     JhProblem,
@@ -45,44 +39,16 @@ CSV_FMT = "{:.16e}"  # 17 significant digits
 PRETTY_FMT = "{:.10e}"  # 11 significant digits
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    re: float = 0.0
-    alpha_deg: float = 15.0
-    order: int = 4
-    n_elem: int = 320
-    newton_tol: float = 1e-12
-    shoot_tol: float = 1e-13
-    output: str = "pretty"
-    out_path: str | None = None
-
-
-def jh_threads() -> int:
-    raw = os.environ.get("JH_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = min(jh_threads(), max(1, len(items)))
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _parse_int_list(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"no integers in list {text!r}")
+    return values
 
 
 def _emit(text: str, out_path: str | None):
@@ -120,21 +86,6 @@ def _report_nonconvergence(fem) -> int:
     return 1
 
 
-def _config_echo(args, command: str) -> dict:
-    cfg = RunConfig(
-        command=command,
-        re=getattr(args, "re", 0.0),
-        alpha_deg=getattr(args, "alpha_deg", 15.0),
-        order=getattr(args, "order", 4),
-        n_elem=getattr(args, "nelem", 320),
-        newton_tol=getattr(args, "newton_tol", 1e-12),
-        shoot_tol=getattr(args, "shoot_tol", 1e-13),
-        output=getattr(args, "output", "pretty"),
-        out_path=getattr(args, "out", None),
-    )
-    return asdict(cfg)
-
-
 def _rows_text(header: list[str], rows: list[list], args, command: str) -> str:
     if args.output == "csv":
         lines = [",".join(header)]
@@ -143,7 +94,17 @@ def _rows_text(header: list[str], rows: list[list], args, command: str) -> str:
         return "\n".join(lines) + "\n"
     if args.output == "json":
         payload = {
-            "config": _config_echo(args, command),
+            "config": {
+                "command": command,
+                "re": args.re,
+                "alpha_deg": args.alpha_deg,
+                "order": args.order,
+                "n_elem": args.nelem,
+                "newton_tol": args.newton_tol,
+                "shoot_tol": args.shoot_tol,
+                "output": args.output,
+                "out_path": args.out,
+            },
             "rows": [dict(zip(header, row)) for row in rows],
         }
         return json.dumps(payload, indent=2) + "\n"
@@ -162,7 +123,6 @@ def cmd_solve(args) -> int:
     problem, fem = _solve_case(args)
     if not fem.converged:
         return _report_nonconvergence(fem)
-    dofmap = build_dofmap(fem.mesh, fem.family, jh_constraints())
     fp1 = fem.fp_right()
     k_val = compute_K(problem, fp1)
     header = [
@@ -182,8 +142,8 @@ def cmd_solve(args) -> int:
         float(args.alpha_deg),
         args.order,
         args.nelem,
-        dofmap.n_global,
-        len(dofmap.constraints),
+        fem.dofmap.n_global,
+        len(jh_constraints()),
         fem.newton_iters,
         float(fem.final_residual_norm),
         fp1,
@@ -206,6 +166,8 @@ def cmd_reference(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if not 0.0 < args.eta_step <= 1.0:
+        return _usage_error(f"--eta-step must lie in (0, 1], got {args.eta_step}")
     problem, fem = _solve_case(args)
     if not fem.converged:
         return _report_nonconvergence(fem)
@@ -252,52 +214,28 @@ def cmd_convergence(args) -> int:
     orders = _parse_int_list(args.orders)
     nelems = sorted(_parse_int_list(args.nelems))
     ref = shoot(problem, end_tol=args.shoot_tol)
-    cells = [(p, n) for p in orders for n in nelems]
-
-    def solve_cell(cell):
-        p, n = cell
-        fem = newton_solve(
-            problem, build_mesh(n), hermite_family(p), SolverOptions(tol=args.newton_tol)
-        )
-        if not fem.converged:
-            raise SingularMatrixError(
-                f"no convergence at p={p}, N={n}: residual {fem.final_residual_norm:.3e}"
-            )
-        return error_norms(fem, ref, gauss_legendre(min(16, p + 4)))
-
-    results = _parallel_map(solve_cell, cells)
     reports = []
-    labels = []
     for p in orders:
-        rows = [r for (pp, _n), r in zip(cells, results) if pp == p]
+        rows = []
+        for n in nelems:
+            fem = newton_solve(
+                problem, build_mesh(n), hermite_family(p), SolverOptions(tol=args.newton_tol)
+            )
+            if not fem.converged:
+                raise SingularMatrixError(
+                    f"no convergence at p={p}, N={n}: residual {fem.final_residual_norm:.3e}"
+                )
+            rows.append(error_norms(fem, ref, gauss_legendre(min(16, p + 4))))
         reports.append(make_report(f"re{args.re}_alpha{args.alpha_deg}", p, rows))
-        labels.append(f"p{p}")
-    return _emit_reports(reports, labels, args)
+    return _emit_reports(reports, [f"p{p}" for p in orders], args)
 
 
 def cmd_model(args) -> int:
     formulation = LEAST_SQUARES if args.formulation == "least-squares" else GALERKIN
     orders = _parse_int_list(args.orders)
     nelems = sorted(_parse_int_list(args.nelems))
-    rule = gauss_legendre(12)
-    cells = [(p, n) for p in orders for n in nelems]
-
-    def solve_cell(cell):
-        p, n = cell
-        fem = solve_model(
-            ModelConfig(degree=p, n_elem=n, formulation=formulation),
-            SolverOptions(tol=args.newton_tol, max_iter=10),
-        )
-        return error_norms(fem, exact_pair, rule)
-
-    results = _parallel_map(solve_cell, cells)
-    reports = []
-    labels = []
-    for p in orders:
-        rows = [r for (pp, _n), r in zip(cells, results) if pp == p]
-        reports.append(make_report(f"model-{formulation}", p, rows))
-        labels.append(f"{formulation}_p{p}")
-    return _emit_reports(reports, labels, args)
+    reports = model_convergence(orders, nelems, formulation, args.newton_tol)
+    return _emit_reports(reports, [f"{formulation}_p{p}" for p in orders], args)
 
 
 def cmd_fields(args) -> int:

@@ -66,8 +66,12 @@ def forcing(x):
     return exact_derivative(x) + exact_solution(x)
 
 
-def _assemble(cfg: ModelConfig, dofmap, rule):
-    """Shared assembly: returns the raw (unconstrained) LD system (A, b)."""
+def assemble_model(cfg: ModelConfig, dofmap, rule):
+    """Extended-precision system (A, b) of `cfg.formulation`, before constraints.
+
+    Least squares gives a symmetric A, SPD on the constrained subspace; the
+    constraints are applied by the solve driver.
+    """
     p = cfg.degree
     n = cfg.n_elem
     h = _LD(1) / n
@@ -98,20 +102,6 @@ def _assemble(cfg: ModelConfig, dofmap, rule):
     return mat, rhs
 
 
-def assemble_galerkin(cfg: ModelConfig, dofmap, rule):
-    """Galerkin system (A, b); constraints are applied by the solve driver."""
-    if cfg.formulation != GALERKIN:
-        raise ValueError("config formulation is not galerkin")
-    return _assemble(cfg, dofmap, rule)
-
-
-def assemble_least_squares(cfg: ModelConfig, dofmap, rule):
-    """Least-squares system (A, b): A symmetric, SPD on the constrained subspace."""
-    if cfg.formulation != LEAST_SQUARES:
-        raise ValueError("config formulation is not least_squares")
-    return _assemble(cfg, dofmap, rule)
-
-
 def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolution:
     """Solve the model problem via the shared Newton driver.
 
@@ -124,7 +114,7 @@ def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolut
     mesh = build_mesh(cfg.n_elem)
     dofmap = build_dofmap(mesh, family, model_constraints())
     rule = gauss_legendre(MODEL_RULE_POINTS)
-    mat, rhs = _assemble(cfg, dofmap, rule)
+    mat, rhs = assemble_model(cfg, dofmap, rule)
     jac = BandedMatrix(mat.n, mat.k, dtype=np.float64)
     jac.data[:] = mat.data.astype(np.float64)
     for i in dofmap.constraints:

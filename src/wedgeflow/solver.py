@@ -192,6 +192,21 @@ def _scaled_tables(family: ElementFamily, rule: QuadratureRule, h, dtype):
     return v, d1, d2
 
 
+def quadrature_fields(
+    dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule, h, n_derivs: int = 1
+):
+    """Basis tables and the field `coeffs` at the rule points of every element.
+
+    Returns (tables, fields): `tables` is (v, d1, d2), each (p+1, nq) with the
+    physical-slope scaling applied (d2 is None for C0 families), and `fields`
+    is (f, f', ...) up to derivative `n_derivs`, each (n_elem, nq).  All
+    arithmetic follows the dtype of `coeffs`.
+    """
+    tables = _scaled_tables(dofmap.family, rule, h, coeffs.dtype)
+    ce = coeffs[dofmap.element_dofs]  # (n, p+1)
+    return tables, tuple(ce @ t for t in tables[: n_derivs + 1])
+
+
 def _check_rule(dofmap: DofMap, rule: QuadratureRule):
     if dofmap.family.kind != HERMITE:
         raise ValueError("wedge-flow assembly requires the Hermite family")
@@ -219,13 +234,10 @@ def assemble_residual(
     coeffs = coeffs.astype(dtype, copy=False)
     n = dofmap.n_elem
     h = scal(1.0) / n
-    v, d1, d2 = _scaled_tables(dofmap.family, rule, h, dtype)
+    (v, _, d2), (f, fp) = quadrature_fields(dofmap, coeffs, rule, h)
     wts = rule.weights.astype(dtype)
     c = scal(2.0) * scal(problem.reynolds) * scal(problem.alpha)
     a2 = scal(4.0) * scal(problem.alpha) ** 2
-    ce = coeffs[dofmap.element_dofs]  # (n, p+1)
-    f = ce @ v  # (n, nq)
-    fp = ce @ d1
     oper = d2[None, :, :] + (c * f + a2)[:, None, :] * v[None, :, :]
     local = np.einsum("niq,nq->ni", oper, fp * wts) * h
     out = np.zeros(dofmap.n_global, dtype=dtype)
@@ -247,13 +259,10 @@ def assemble_jacobian(
         raise ValueError("coefficient vector length mismatch")
     n = dofmap.n_elem
     h = 1.0 / n
-    v, d1, d2 = _scaled_tables(dofmap.family, rule, h, np.float64)
+    (v, d1, d2), (f, fp) = quadrature_fields(dofmap, coeffs, rule, h)
     wts = rule.weights
     c = 2.0 * problem.reynolds * problem.alpha
     a2 = 4.0 * problem.alpha**2
-    ce = coeffs[dofmap.element_dofs]
-    f = ce @ v
-    fp = ce @ d1
     oper = d2[None, :, :] + (c * f + a2)[:, None, :] * v[None, :, :]
     local = np.einsum("nq,iq,jq->nij", c * fp * wts, v, v) * h
     local += np.einsum("niq,jq->nij", oper * wts[None, None, :], d1) * h
@@ -270,7 +279,6 @@ def assemble_jacobian(
 class SolverOptions:
     tol: float = 1e-12
     max_iter: int = 25
-    damping: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -355,7 +363,7 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
             break
         jac = jacobian_fn(coeffs.astype(np.float64))
         delta = solve_banded(jac, -res.astype(np.float64))
-        coeffs = coeffs + _LD(opts.damping) * delta.astype(_LD)
+        coeffs = coeffs + delta.astype(_LD)
         iters += 1
     if not converged:
         coeffs = best[1]
@@ -384,9 +392,9 @@ def newton_solve(
     """Solve the wedge-flow problem on `mesh` with Hermite elements.
 
     Starts from the Poiseuille interpolant 1 - eta^2 and runs undamped Newton
-    (optional damping via `opts`) over a banded direct solver.  Non-convergence
-    is reported through the returned solution's `converged` flag together with
-    the residual-norm history; singular Jacobians raise SingularMatrixError.
+    over a banded direct solver.  Non-convergence is reported through the
+    returned solution's `converged` flag together with the residual-norm
+    history; singular Jacobians raise SingularMatrixError.
     """
     if family.kind != HERMITE:
         raise ValueError("wedge-flow solves require the Hermite family")

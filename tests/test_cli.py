@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -42,12 +41,19 @@ def test_missing_subcommand_is_usage_error(capsys):
         ["solve", "--order", "7", "--nelem", "4"],
         ["table", "--nelem", "0"],
         ["fields", "--r1", "0", "--r2", "1", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1.0"],
+        ["table", "--eta-step", "0"],
+        ["table", "--eta-step", "-0.1"],
+        ["convergence", "--orders", "5..3"],
+        ["model", "--orders", "4..2"],
     ],
 )
 def test_bad_arguments_exit_two(capsys, argv):
-    rc, _out, err = run_capture(capsys, argv)
+    rc, out, err = run_capture(capsys, argv)
     assert rc == 2
+    assert out == ""
     assert "error" in err.lower() or err == ""
+    if "--eta-step" in argv:
+        assert "--eta-step" in err
 
 
 def test_nonconvergence_exits_one(capsys, monkeypatch):
@@ -96,6 +102,25 @@ def test_solve_json_echoes_config(capsys):
         "newton_iters", "residual_norm", "fp1", "K",
     }
     assert row["n_constrained"] == 3
+
+
+def test_reference_json_config_echo(capsys):
+    rc, out, _err = run_capture(
+        capsys, ["reference", "--re", "30", "--alpha-deg", "15", "--output", "json"]
+    )
+    assert rc == 0
+    cfg = json.loads(out)["config"]
+    assert list(cfg.items()) == [
+        ("command", "reference"),
+        ("re", 30.0),
+        ("alpha_deg", 15.0),
+        ("order", 4),
+        ("n_elem", 320),
+        ("newton_tol", 1e-12),
+        ("shoot_tol", 1e-13),
+        ("output", "json"),
+        ("out_path", None),
+    ]
 
 
 def test_solve_closed_form_coarse_mesh(capsys):
@@ -261,24 +286,6 @@ def test_parse_int_list():
     assert cli._parse_int_list("1..5") == [1, 2, 3, 4, 5]
     assert cli._parse_int_list(" 8, 16 ") == [8, 16]
     assert cli._parse_int_list("2..2") == [2]
-
-
-def test_jh_threads_env(monkeypatch):
-    monkeypatch.setenv("JH_THREADS", "3")
-    assert cli.jh_threads() == 3
-    monkeypatch.setenv("JH_THREADS", "0")
-    assert cli.jh_threads() == 1
-    monkeypatch.setenv("JH_THREADS", "bogus")
-    assert cli.jh_threads() >= 1
-    monkeypatch.delenv("JH_THREADS")
-    assert cli.jh_threads() >= 1
-
-
-def test_run_config_defaults():
-    cfg = wf.RunConfig(command="solve")
-    assert cfg.re == 0.0 and cfg.alpha_deg == 15.0
-    assert cfg.order == 4 and cfg.n_elem == 320
-    assert cfg.newton_tol == 1e-12 and cfg.shoot_tol == 1e-13
-    assert cfg.output == "pretty" and cfg.out_path is None
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.re = 1.0
+    for empty in ("5..3", ",", ""):
+        with pytest.raises(ValueError, match="no integers"):
+            cli._parse_int_list(empty)

@@ -18,11 +18,7 @@ def _raw_system(degree, n_elem, formulation):
     cfg = wf.ModelConfig(degree=degree, n_elem=n_elem, formulation=formulation)
     family = wf.hierarchic_family(degree)
     dm = wf.build_dofmap(wf.build_mesh(n_elem), family, wf.model_constraints())
-    rule = wf.gauss_legendre(10)
-    if formulation == wf.GALERKIN:
-        mat, rhs = wf.assemble_galerkin(cfg, dm, rule)
-    else:
-        mat, rhs = wf.assemble_least_squares(cfg, dm, rule)
+    mat, rhs = wf.assemble_model(cfg, dm, wf.gauss_legendre(10))
     return mat.to_dense().astype(np.float64), rhs.astype(np.float64), dm
 
 
@@ -142,12 +138,3 @@ def test_model_config_validation():
         wf.ModelConfig(degree=2, n_elem=0)
     with pytest.raises(ValueError):
         wf.ModelConfig(degree=2, n_elem=4, formulation="petrov")
-
-
-def test_assemblers_reject_mismatched_config():
-    dm = wf.build_dofmap(wf.build_mesh(2), wf.hierarchic_family(1), wf.model_constraints())
-    rule = wf.gauss_legendre(10)
-    with pytest.raises(ValueError):
-        wf.assemble_galerkin(wf.ModelConfig(1, 2, wf.LEAST_SQUARES), dm, rule)
-    with pytest.raises(ValueError):
-        wf.assemble_least_squares(wf.ModelConfig(1, 2), dm, rule)

@@ -5,6 +5,7 @@ import pytest
 from conftest import CASES, make_problem
 
 import wedgeflow as wf
+from wedgeflow import shooting
 from wedgeflow.shooting import integrate
 
 # Regression pins for the converged initial curvature s = f''(0).
@@ -86,6 +87,34 @@ def test_evaluate_reference_grid_points_exact(oracles):
     np.testing.assert_array_equal(f, ref.states[idx, 0])
     np.testing.assert_array_equal(fp, ref.states[idx, 1])
     np.testing.assert_array_equal(fpp, ref.states[idx, 2])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_evaluate_reference_on_grid_is_states(case, oracles):
+    ref = oracles[case]
+    f, fp, fpp = wf.evaluate_reference(ref, ref.grid)
+    np.testing.assert_array_equal(np.column_stack([f, fp, fpp]), ref.states)
+
+
+def test_shoot_integrates_once_per_secant_evaluation(monkeypatch):
+    calls = []
+    real_solve_ivp = shooting.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        sol = real_solve_ivp(*args, **kwargs)
+        calls.append((args[2][2], sol))
+        return sol
+
+    monkeypatch.setattr(shooting, "solve_ivp", counting_solve_ivp)
+    ref = wf.shoot(make_problem(30.0, 15.0))
+    # every secant evaluation integrates a new s, and none is integrated twice
+    s_values = [s for s, _sol in calls]
+    assert len(calls) >= 3
+    assert len(set(s_values)) == len(s_values)
+    # the result is the best secant pass itself, not a fresh integration
+    best = min(calls, key=lambda call: abs(call[1].y[0, -1]))
+    assert ref.s == best[0]
+    assert ref.trajectory is best[1].sol
 
 
 def test_evaluate_reference_interpolation_error():

@@ -269,15 +269,6 @@ def test_newton_nonconvergence_reports_history():
     assert np.all(np.isfinite(fem.coeffs))  # best iterate returned
 
 
-def test_newton_with_damping():
-    prob = make_problem(30.0, 15.0)
-    fem = wf.newton_solve(
-        prob, wf.build_mesh(20), wf.hermite_family(3), wf.SolverOptions(damping=0.7)
-    )
-    assert fem.converged
-    assert fem.newton_iters >= 4
-
-
 def test_newton_rejects_hierarchic():
     with pytest.raises(ValueError):
         wf.newton_solve(make_problem(30.0, 15.0), wf.build_mesh(4), wf.hierarchic_family(2))
