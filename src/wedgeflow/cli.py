@@ -80,7 +80,11 @@ def _solve_case(args):
 
 
 def _report_nonconvergence(fem) -> int:
-    print("newton iteration did not converge; residual-norm history:", file=sys.stderr)
+    print(
+        f"newton iteration did not converge (stop reason: {fem.stop_reason}); "
+        "residual-norm history:",
+        file=sys.stderr,
+    )
     for i, rn in enumerate(fem.norm_history):
         print(f"  iter {i}: {rn:.3e}", file=sys.stderr)
     return 1

@@ -129,7 +129,7 @@ def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolut
     coeffs0 = np.zeros(dofmap.n_global, dtype=_LD)
     for i, val in dofmap.constraints.items():
         coeffs0[i] = _LD(val)
-    coeffs, converged, iters, rnorm, history = newton_loop(
+    coeffs, converged, iters, rnorm, history, stop_reason = newton_loop(
         res_fn, lambda _c: jac, coeffs0, dofmap.free_mask(), opts
     )
     out = coeffs.astype(np.float64)
@@ -143,6 +143,7 @@ def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolut
         newton_iters=iters,
         final_residual_norm=rnorm,
         norm_history=history,
+        stop_reason=stop_reason,
     )
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .basis import HERMITE, ElementFamily, eval_family
+from .basis import HERMITE, ElementFamily, ShapeEval, eval_family
 from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, build_mesh, jh_constraints
 from .quadrature import QuadratureRule, gauss_legendre, required_points
 
@@ -170,20 +170,40 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scaled_tables(family: ElementFamily, rule: QuadratureRule, h, dtype):
-    """Basis tables at the rule points with physical-slope scaling applied.
+def _slope_scale(family: ElementFamily, h, dtype) -> np.ndarray:
+    """Per-function factors that put Hermite slope DOFs in physical units.
 
     Hermite slope DOFs store df/d(eta); the corresponding reference functions
-    are scaled by h so evaluation against physical-derivative operators needs
-    only the 1/h and 1/h^2 chain factors.
+    are scaled by h, so evaluation against physical-derivative operators needs
+    only the 1/h and 1/h^2 chain factors.  Every other factor is 1.
     """
-    dtype = np.dtype(dtype)
-    shapes = eval_family(family, rule.points.astype(dtype))
-    h = dtype.type(h)
     scale = np.ones(family.degree + 1, dtype=dtype)
     if family.kind == HERMITE:
         scale[1] = h
         scale[3] = h
+    return scale
+
+
+@lru_cache(maxsize=None)
+def _reference_tables(family: ElementFamily, points: bytes, dtype: np.dtype) -> ShapeEval:
+    """Read-only `eval_family` tables at the float64 rule points `points`.
+
+    The key holds no mesh size, so the cache stays bounded: one entry per
+    (family, rule, dtype) in use.
+    """
+    shapes = eval_family(family, np.frombuffer(points).astype(dtype))
+    for table in (shapes.values, shapes.first_derivs, shapes.second_derivs):
+        if table is not None:
+            table.setflags(write=False)
+    return shapes
+
+
+def _scaled_tables(family: ElementFamily, rule: QuadratureRule, h, dtype):
+    """Basis tables at the rule points with physical-slope scaling applied."""
+    dtype = np.dtype(dtype)
+    shapes = _reference_tables(family, rule.points.tobytes(), dtype)
+    h = dtype.type(h)
+    scale = _slope_scale(family, h, dtype)
     v = shapes.values * scale[:, None]
     d1 = shapes.first_derivs * scale[:, None] / h
     d2 = None
@@ -292,6 +312,7 @@ class FemSolution:
     newton_iters: int
     final_residual_norm: float
     norm_history: tuple = ()
+    stop_reason: str = ""  # see newton_loop
 
     def evaluate(self, eta) -> tuple:
         """Evaluate (f, f', f'') at eta in [0, 1]; f'' is None for C0 elements."""
@@ -305,11 +326,7 @@ class FemSolution:
         elem = np.minimum(q.astype(np.intp), n - 1)
         t = q - elem
         shapes = eval_family(self.family, t)
-        p1 = self.family.degree + 1
-        scale = np.ones(p1)
-        if self.family.kind == HERMITE:
-            scale[1] = h
-            scale[3] = h
+        scale = _slope_scale(self.family, h, np.float64)
         dofs = self.dofmap.element_dofs[elem]  # (m, p+1)
         ce = self.coeffs[dofs] * scale
         f = np.einsum("mi,im->m", ce, shapes.values)
@@ -338,18 +355,36 @@ def _dofmap(family: ElementFamily, n_elem: int) -> DofMap:
     return build_dofmap(build_mesh(n_elem), family)
 
 
+#: A Newton step no larger than this times max(1, ||x||_inf) moves the
+#: iterate only by roundoff (about 450 float64 ulps).  Iterating on then
+#: cannot improve it, whatever the residual reads: its floor grows like N^2.
+ROUNDOFF_STEP = 1e-13
+
+
 def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOptions):
     """Shared Newton driver: extended-precision iterate, float64 linear solves.
 
-    Returns (coeffs, converged, iters, final_norm, history); on failure the
-    best iterate seen (by residual norm) is returned.
+    Returns (coeffs, converged, iters, final_norm, history, stop_reason).  The
+    loop stops on the first of:
+
+    - "residual": the max-norm of the free residual rows is <= opts.tol;
+    - "max_iter": opts.max_iter steps were taken;
+    - "roundoff": the last step was at roundoff level (ROUNDOFF_STEP) and at
+      most half the step before it, so the iterate has converged as far as
+      float64 corrections can take it (Deuflhard's affine-invariant step test);
+    - "stagnated": the last step was at roundoff level without contracting.
+
+    Only "residual" and "roundoff" count as converged.  On failure the best
+    iterate seen (by residual norm) is returned.
     """
     coeffs = coeffs0.astype(_LD, copy=True)
     history = []
     best = (np.inf, coeffs.copy())
     iters = 0
-    converged = False
     rnorm = np.inf
+    stop_reason = "max_iter"
+    step = prev_step = np.inf
+    at_roundoff = False
     for _ in range(opts.max_iter + 1):
         res = residual_fn(coeffs)
         rnorm = float(np.max(np.abs(res[free_mask]))) if np.any(free_mask) else 0.0
@@ -357,18 +392,24 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
         if rnorm < best[0]:
             best = (rnorm, coeffs.copy())
         if rnorm <= opts.tol:
-            converged = True
+            stop_reason = "residual"
             break
         if iters >= opts.max_iter:
+            break
+        if at_roundoff:
+            stop_reason = "roundoff" if step <= 0.5 * prev_step else "stagnated"
             break
         jac = jacobian_fn(coeffs.astype(np.float64))
         delta = solve_banded(jac, -res.astype(np.float64))
         coeffs = coeffs + delta.astype(_LD)
         iters += 1
+        prev_step, step = step, float(np.max(np.abs(delta)))
+        at_roundoff = step <= ROUNDOFF_STEP * max(1.0, float(np.max(np.abs(coeffs))))
+    converged = stop_reason in ("residual", "roundoff")
     if not converged:
         coeffs = best[1]
         rnorm = best[0]
-    return coeffs, converged, iters, rnorm, tuple(history)
+    return coeffs, converged, iters, rnorm, tuple(history), stop_reason
 
 
 def poiseuille_guess(dofmap: DofMap, dtype=_LD) -> np.ndarray:
@@ -394,7 +435,7 @@ def newton_solve(
     Starts from the Poiseuille interpolant 1 - eta^2 and runs undamped Newton
     over a banded direct solver.  Non-convergence is reported through the
     returned solution's `converged` flag together with the residual-norm
-    history; singular Jacobians raise SingularMatrixError.
+    history and `stop_reason`; singular Jacobians raise SingularMatrixError.
     """
     if family.kind != HERMITE:
         raise ValueError("wedge-flow solves require the Hermite family")
@@ -409,7 +450,7 @@ def newton_solve(
         return assemble_jacobian(problem, dofmap, c, rule)
 
     coeffs0 = poiseuille_guess(dofmap)
-    coeffs, converged, iters, rnorm, history = newton_loop(
+    coeffs, converged, iters, rnorm, history, stop_reason = newton_loop(
         res_fn, jac_fn, coeffs0, dofmap.free_mask(), opts
     )
     out = coeffs.astype(np.float64)
@@ -423,4 +464,5 @@ def newton_solve(
         newton_iters=iters,
         final_residual_norm=rnorm,
         norm_history=history,
+        stop_reason=stop_reason,
     )

@@ -67,11 +67,13 @@ def test_nonconvergence_exits_one(capsys, monkeypatch):
         newton_iters=2,
         final_residual_norm=0.5,
         norm_history=(1.0, 0.5),
+        stop_reason="stagnated",
     )
     monkeypatch.setattr(cli, "newton_solve", lambda *a, **k: fake)
     rc, _out, err = run_capture(capsys, ["solve", "--re", "30", "--nelem", "4", "--order", "3"])
     assert rc == 1
     assert "did not converge" in err
+    assert "stop reason: stagnated" in err
     assert "iter 0" in err
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wedgeflow as wf
+from wedgeflow import solver
 from conftest import CASES, FAMILIES, make_problem
 
 # Tabulated f(0.5) / f(0.9) reference values for the three cases at N=320, p=4.
@@ -251,7 +252,7 @@ def test_boundary_conditions_exact(case, fine_solutions):
 def test_newton_iters_mesh_independent():
     prob = make_problem(30.0, 15.0)
     iters = []
-    for n in (10, 40, 160, 320):
+    for n in (10, 40, 160, 320, 2560):
         fem = wf.newton_solve(prob, wf.build_mesh(n), wf.hermite_family(4))
         assert fem.converged
         iters.append(fem.newton_iters)
@@ -264,6 +265,7 @@ def test_newton_nonconvergence_reports_history():
         prob, wf.build_mesh(20), wf.hermite_family(3), wf.SolverOptions(max_iter=1)
     )
     assert not fem.converged
+    assert fem.stop_reason == "max_iter"
     assert len(fem.norm_history) >= 1
     assert fem.final_residual_norm > 0.0
     assert np.all(np.isfinite(fem.coeffs))  # best iterate returned
@@ -312,3 +314,64 @@ def test_evaluate_at_nodes_reads_nodal_dofs(p):
     np.testing.assert_allclose(f, coeffs[value_dofs], rtol=0, atol=1e-12)
     np.testing.assert_allclose(fp, coeffs[value_dofs + 1], rtol=0, atol=1e-12)
     assert abs(fem.fp_right() - fem.evaluate(1.0)[1]) <= 1e-12
+
+
+def _tables_from_eval_family(family, rule, h, dtype):
+    """Scaled basis tables built directly, without the table cache."""
+    shapes = wf.eval_family(family, rule.points.astype(dtype))
+    h = dtype(h)
+    scale = np.ones(family.degree + 1, dtype=dtype)
+    if family.kind == wf.HERMITE:
+        scale[1] = scale[3] = h
+    d2 = None
+    if shapes.second_derivs is not None:
+        d2 = shapes.second_derivs * scale[:, None] / h**2
+    return shapes.values * scale[:, None], shapes.first_derivs * scale[:, None] / h, d2
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
+def test_quadrature_fields_tables_match_eval_family(family, dtype):
+    n = 7
+    dm = wf.build_dofmap(wf.build_mesh(n), family)
+    rule = wf.gauss_legendre(family.degree + 2)
+    coeffs = np.random.default_rng(family.degree).standard_normal(dm.n_global).astype(dtype)
+    expected = _tables_from_eval_family(family, rule, 1.0 / n, dtype)
+    for _ in range(2):  # the second call reads the cached reference tables
+        tables, (f, fp) = solver.quadrature_fields(dm, coeffs, rule, 1.0 / n)
+        for got, want in zip(tables, expected):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == np.dtype(dtype)
+                assert np.array_equal(got, want)
+        ce = coeffs[dm.element_dofs]
+        assert np.array_equal(f, ce @ expected[0])
+        assert np.array_equal(fp, ce @ expected[1])
+
+
+def test_cached_reference_tables_are_read_only():
+    rule = wf.gauss_legendre(5)
+    shapes = solver._reference_tables(
+        wf.hermite_family(3), rule.points.tobytes(), np.dtype(np.longdouble)
+    )
+    for table in (shapes.values, shapes.first_derivs, shapes.second_derivs):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
+def test_newton_solve_tabulates_once_per_dtype(monkeypatch):
+    calls = []
+
+    def counting_eval_family(family, t):
+        calls.append(np.asarray(t).dtype)
+        return wf.eval_family(family, t)
+
+    monkeypatch.setattr(solver, "eval_family", counting_eval_family)
+    solver._reference_tables.cache_clear()
+    prob = make_problem(30.0, 15.0)
+    fem = wf.newton_solve(prob, wf.build_mesh(40), wf.hermite_family(4))
+    assert fem.newton_iters >= 2
+    # the longdouble residual and the float64 Jacobian tables, once each;
+    # other meshes reuse them, because the cache key holds no mesh size
+    wf.newton_solve(prob, wf.build_mesh(160), wf.hermite_family(4))
+    assert len(calls) == len(set(calls)) <= 2
