@@ -172,10 +172,13 @@ def cmd_reference(args) -> int:
 def cmd_table(args) -> int:
     if not 0.0 < args.eta_step <= 1.0:
         return _usage_error(f"--eta-step must lie in (0, 1], got {args.eta_step}")
+    n_steps = 1.0 / args.eta_step
+    n_rows = round(n_steps)
+    if abs(n_steps - n_rows) > 1e-9 * n_steps:
+        return _usage_error(f"--eta-step must divide 1 into whole steps, got {args.eta_step}")
     problem, fem = _solve_case(args)
     if not fem.converged:
         return _report_nonconvergence(fem)
-    n_rows = int(round(1.0 / args.eta_step))
     etas = np.linspace(0.0, 1.0, n_rows + 1)
     f_vals = fem.evaluate(etas)[0]
     header = ["eta", "f"]

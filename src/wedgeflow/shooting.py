@@ -13,12 +13,14 @@ gives (f, f', f'') anywhere in [0, 1] and is sampled on a dense uniform grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 
 from .solver import JhProblem
+
+if TYPE_CHECKING:
+    from scipy.integrate import OdeSolution
 
 DEFAULT_DENSE_POINTS = 4097
 DEFAULT_END_TOL = 1e-13
@@ -52,6 +54,19 @@ def _check_settings(rtol: float, atol: float, n_dense: int):
         raise ValueError("tolerances must be positive")
     if n_dense < 2:
         raise ValueError("dense grid needs at least two points")
+
+
+def solve_ivp(*args, **kwargs):
+    """Forward to `scipy.integrate.solve_ivp`, importing it on the first call.
+
+    `scipy.integrate` and what it pulls in (`scipy.special`, `scipy.optimize`,
+    `scipy.sparse`) take longer to import than a whole non-shooting CLI
+    command runs, so only callers that integrate load it.  `_solve` looks
+    this name up at call time, so it can still be wrapped or replaced.
+    """
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 def _solve(problem: JhProblem, s: float, rtol: float, atol: float):
@@ -183,7 +198,7 @@ def evaluate_reference(ref: ReferenceSolution, eta):
     reproduce the stored states exactly.
     """
     eta_arr = np.atleast_1d(np.asarray(eta, dtype=np.float64))
-    if np.any(eta_arr < 0.0) or np.any(eta_arr > 1.0):
+    if not np.all((eta_arr >= 0.0) & (eta_arr <= 1.0)):
         raise ValueError("evaluation points must lie in [0, 1]")
     f, fp, fpp = ref.trajectory(eta_arr)
     if np.isscalar(eta) or np.ndim(eta) == 0:

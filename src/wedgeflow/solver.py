@@ -318,7 +318,7 @@ class FemSolution:
         """Evaluate (f, f', f'') at eta in [0, 1]; f'' is None for C0 elements."""
         scalar = np.isscalar(eta) or np.ndim(eta) == 0
         eta = np.atleast_1d(np.asarray(eta, dtype=np.float64))
-        if np.any(eta < 0.0) or np.any(eta > 1.0):
+        if not np.all((eta >= 0.0) & (eta <= 1.0)):
             raise ValueError("evaluation points must lie in [0, 1]")
         n = self.mesh.n_elem
         h = 1.0 / n

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +48,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         ["table", "--eta-step", "-0.1"],
         ["convergence", "--orders", "5..3"],
         ["model", "--orders", "4..2"],
+        ["table", "--eta-step", "0.3"],
     ],
 )
 def test_bad_arguments_exit_two(capsys, argv):
@@ -278,6 +282,54 @@ def test_check_command_passes(capsys):
     lines = [line for line in out.strip().split("\n") if line]
     assert len(lines) == 4
     assert all(line.startswith("PASS") for line in lines)
+
+
+# ------------------------------------------------------------ import graph
+
+# Runs in a fresh interpreter, so no earlier test has loaded scipy.integrate.
+# Prints one JSON line per command: argv, exit code, and whether
+# scipy.integrate was in sys.modules after the command returned.
+IMPORT_GRAPH_SCRIPT = """
+import contextlib, io, json, sys
+from wedgeflow import cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.run(argv)
+    print(json.dumps([argv, rc, "scipy.integrate" in sys.modules]))
+
+print(json.dumps([["import"], 0, "scipy.integrate" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    run(argv)
+"""
+
+CASE = ["--re", "30", "--alpha-deg", "15"]
+NON_SHOOTING = [
+    ["solve", *CASE, "--order", "3", "--nelem", "20"],
+    ["table", *CASE, "--order", "3", "--nelem", "20"],
+    ["model", "--orders", "1..2", "--nelems", "8,16,32"],
+    ["check", *CASE, "--nelem", "20"],
+    ["fields", *CASE, "--nelem", "20", "--r1", "0.5", "--r2", "1", "--nr", "2",
+     "--ntheta", "3", "--nu", "1e-3", "--rho", "1000"],
+]
+SHOOTING = [
+    ["convergence", *CASE, "--orders", "3", "--nelems", "10,20,40"],
+    ["reference", *CASE],
+]
+
+
+def test_only_shooting_commands_load_the_integrator():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT, json.dumps(NON_SHOOTING + SHOOTING)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    expected = [[argv, 0, False] for argv in [["import"], *NON_SHOOTING]]
+    expected += [[argv, 0, True] for argv in SHOOTING]
+    assert records == expected
 
 
 # ----------------------------------------------------------------- helpers

@@ -134,6 +134,14 @@ def test_evaluate_reference_bounds(oracles):
         wf.evaluate_reference(ref, [-0.2, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_reference_rejects_non_finite(oracles, bad):
+    ref = oracles[(30.0, 15.0)]
+    for eta in (bad, [0.5, bad]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            wf.evaluate_reference(ref, eta)
+
+
 def test_monotone_profile(oracles):
     ref = oracles[(30.0, 15.0)]
     assert np.all(np.diff(ref.states[:, 0]) < 0.0)

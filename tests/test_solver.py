@@ -284,6 +284,14 @@ def test_evaluate_range_check(fine_solutions):
         fem.evaluate([-0.1, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_rejects_non_finite(fine_solutions, bad):
+    _, fem = fine_solutions[(30.0, 15.0)]
+    for eta in (bad, [0.5, bad]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            fem.evaluate(eta)
+
+
 def test_evaluate_continuity_across_interfaces(fine_solutions):
     _, fem = fine_solutions[(30.0, 15.0)]
     h = fem.mesh.h
