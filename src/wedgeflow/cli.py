@@ -37,6 +37,7 @@ from .solver import (
 
 CSV_FMT = "{:.16e}"  # 17 significant digits
 PRETTY_FMT = "{:.10e}"  # 11 significant digits
+MAX_ETA_STEPS = 10**6  # `table` rows are bounded before the solve
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -173,6 +174,11 @@ def cmd_table(args) -> int:
     if not 0.0 < args.eta_step <= 1.0:
         return _usage_error(f"--eta-step must lie in (0, 1], got {args.eta_step}")
     n_steps = 1.0 / args.eta_step
+    if n_steps > MAX_ETA_STEPS:  # also catches 1 / 5e-324 = inf
+        return _usage_error(
+            f"--eta-step must be at least {1 / MAX_ETA_STEPS:g} "
+            f"(at most {MAX_ETA_STEPS} steps), got {args.eta_step}"
+        )
     n_rows = round(n_steps)
     if abs(n_steps - n_rows) > 1e-9 * n_steps:
         return _usage_error(f"--eta-step must divide 1 into whole steps, got {args.eta_step}")
@@ -246,8 +252,10 @@ def cmd_model(args) -> int:
 
 
 def cmd_fields(args) -> int:
-    if args.r1 <= 0 or args.r2 < args.r1:
-        return _usage_error("need 0 < r1 <= r2")
+    if not 0.0 < args.r1 <= args.r2 < math.inf:  # false for NaN too
+        return _usage_error("need finite 0 < r1 <= r2")
+    if not math.isfinite(args.pin):
+        return _usage_error(f"--pin must be finite, got {args.pin}")
     if args.nr < 1 or args.ntheta < 2:
         return _usage_error("need nr >= 1 and ntheta >= 2")
     fluid = FluidProps(nu=args.nu, rho=args.rho)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class DofMap:
     def n_elem(self) -> int:
         return self.element_dofs.shape[0]
 
+    @cached_property
+    def column_slices(self) -> tuple[list, int, int]:
+        """`column_slices` of `element_dofs`, computed once per map."""
+        return column_slices(self.element_dofs)
+
     def free_mask(self) -> np.ndarray:
         mask = np.ones(self.n_global, dtype=bool)
         for i in self.constraints:
@@ -72,6 +78,20 @@ class DofMap:
         """Global indices of the `kind` DOF at every mesh node, left to right."""
         left = self.element_dofs[:, _node_column(self.family, kind, 0)]
         return np.append(left, self.endpoint(kind, 1))
+
+
+def column_slices(element_dofs: np.ndarray) -> tuple[list, int, int]:
+    """(first, stride, span) such that column a of `element_dofs` is the
+    global index slice first[a] : first[a] + span : stride.
+
+    Element-by-element numbering gives every row as row 0 plus e * stride;
+    any other table raises ValueError.
+    """
+    n_elem = element_dofs.shape[0]
+    stride = int(element_dofs[1, 0] - element_dofs[0, 0]) if n_elem > 1 else 1
+    if stride < 1 or not (element_dofs[1:] - element_dofs[:-1] == stride).all():
+        raise ValueError("element DOF rows must repeat with a fixed positive stride")
+    return element_dofs[0].tolist(), stride, stride * (n_elem - 1) + 1
 
 
 def _node_column(family: ElementFamily, kind: str, side: int) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .basis import HERMITE, ElementFamily, ShapeEval, eval_family
-from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, build_mesh, jh_constraints
+from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, build_mesh, column_slices, jh_constraints
 from .quadrature import QuadratureRule, gauss_legendre, required_points
 
 _LD = np.longdouble
@@ -44,11 +44,11 @@ class FluidProps:
     mu: float | None = None
 
     def __post_init__(self):
-        if self.nu <= 0 or self.rho <= 0:
-            raise ValueError("nu and rho must be positive")
+        if not (0.0 < self.nu < np.inf and 0.0 < self.rho < np.inf):  # false for NaN too
+            raise ValueError(f"nu and rho must be positive and finite, got {self.nu}, {self.rho}")
         if self.mu is None:
             object.__setattr__(self, "mu", self.rho * self.nu)
-        elif abs(self.mu - self.rho * self.nu) > 1e-14 * abs(self.mu):
+        elif not abs(self.mu - self.rho * self.nu) <= 1e-14 * self.rho * self.nu:
             raise ValueError("mu must equal rho * nu")
 
 
@@ -98,20 +98,18 @@ class BandedMatrix:
         """Scatter-add local[e, a, b] at (element_dofs[e, a], element_dofs[e, b]).
 
         `local` is (n_elem, m, m) or one (m, m) block shared by every element.
-        Only neighbouring elements share DOFs, so the even and the odd
-        elements each go in one fancy-index pass without repeated indices,
-        which adds exactly and keeps the dtype of `data`.
+        Each local pair (a, b) is one strided slice of band row
+        2k + dofs[a] - dofs[b] (see `column_slices`).  A band entry gets at
+        most two contributions, from neighbouring elements, so the sum is
+        exact in any order; it keeps the dtype of `data`.
         """
-        rows = element_dofs[:, :, None]
-        cols = element_dofs[:, None, :]
-        if np.any(np.abs(rows - cols) > self.k):
+        first, stride, span = column_slices(element_dofs)
+        if max(first) - min(first) > self.k:
             raise ValueError("entry outside declared half-bandwidth")
-        diag = 2 * self.k + rows - cols
-        cols = np.broadcast_to(cols, diag.shape)
-        local = np.broadcast_to(local, diag.shape)
-        for first in (0, 1):
-            sel = slice(first, None, 2)
-            self.data[diag[sel], cols[sel]] += local[sel]
+        local = np.broadcast_to(local, element_dofs.shape + element_dofs.shape[1:])
+        for a, row in enumerate(first):
+            for b, col in enumerate(first):
+                self.data[2 * self.k + row - col, col : col + span : stride] += local[:, a, b]
 
     def set_identity_row(self, i: int):
         j = np.arange(max(0, i - self.k), min(self.n, i + self.k + 1))
@@ -212,6 +210,26 @@ def _scaled_tables(family: ElementFamily, rule: QuadratureRule, h, dtype):
     return v, d1, d2
 
 
+@lru_cache(maxsize=None)
+def _reference_pairs(family: ElementFamily, points: bytes, weights: bytes):
+    """Read-only h-free pair tables (P, D) of `assemble_jacobian`, in float64.
+
+    P is (2 nq, m^2): rows q hold v_i v_j and rows nq + q hold v_i d1_j at
+    point q, for the m = p + 1 reference functions; D is sum_q w_q d2_i d1_j,
+    flattened to m^2.  Keyed like `_reference_tables`; `assemble_jacobian`
+    applies the mesh size.
+    """
+    shapes = _reference_tables(family, points, np.dtype(np.float64))
+    v, d1, d2 = shapes.values, shapes.first_derivs, shapes.second_derivs
+    m, nq = v.shape
+    prods = np.concatenate([v[:, None, :] * v[None, :, :], v[:, None, :] * d1[None, :, :]], axis=2)
+    pairs = prods.reshape(m * m, 2 * nq).T.copy()
+    const = ((d2 * np.frombuffer(weights)) @ d1.T).ravel()
+    for table in (pairs, const):
+        table.setflags(write=False)
+    return pairs, const
+
+
 def quadrature_fields(
     dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule, h, n_derivs: int = 1
 ):
@@ -255,13 +273,16 @@ def assemble_residual(
     n = dofmap.n_elem
     h = scal(1.0) / n
     (v, _, d2), (f, fp) = quadrature_fields(dofmap, coeffs, rule, h)
-    wts = rule.weights.astype(dtype)
     c = scal(2.0) * scal(problem.reynolds) * scal(problem.alpha)
     a2 = scal(4.0) * scal(problem.alpha) ** 2
-    oper = d2[None, :, :] + (c * f + a2)[:, None, :] * v[None, :, :]
-    local = np.einsum("niq,nq->ni", oper, fp * wts) * h
+    # R_i = h sum_q f' w (phi_i'' + (c f + 4 alpha^2) phi_i): one product over [d2; v]
+    fpw = fp * rule.weights.astype(dtype)
+    tables = np.concatenate([d2, v], axis=1).T * h  # (2 nq, p + 1)
+    local = np.concatenate([fpw, (c * f + a2) * fpw], axis=1) @ tables
     out = np.zeros(dofmap.n_global, dtype=dtype)
-    np.add.at(out, dofmap.element_dofs, local)
+    first, stride, span = dofmap.column_slices
+    for a, col in enumerate(first):  # exact, as in BandedMatrix.add_elements
+        out[col : col + span : stride] += local[:, a]
     s1 = dofmap.endpoint(SLOPE, 1)
     out[s1] -= coeffs[s1]  # boundary term -f'(1) phi_i'(1)
     for i, val in dofmap.constraints.items():
@@ -279,15 +300,22 @@ def assemble_jacobian(
         raise ValueError("coefficient vector length mismatch")
     n = dofmap.n_elem
     h = 1.0 / n
-    (v, d1, d2), (f, fp) = quadrature_fields(dofmap, coeffs, rule, h)
+    _, (f, fp) = quadrature_fields(dofmap, coeffs, rule, h)
     wts = rule.weights
     c = 2.0 * problem.reynolds * problem.alpha
     a2 = 4.0 * problem.alpha**2
-    oper = d2[None, :, :] + (c * f + a2)[:, None, :] * v[None, :, :]
-    local = np.einsum("nq,iq,jq->nij", c * fp * wts, v, v) * h
-    local += np.einsum("niq,jq->nij", oper * wts[None, None, :], d1) * h
+    pairs, const = _reference_pairs(dofmap.family, rule.points.tobytes(), wts.tobytes())
+    # physical-slope factors s_i s_j (`_slope_scale`) with the chain factors:
+    # h * (v_i v_j, v_i d1_j, d2_i d1_j) carry s_i s_j * (h, 1, 1 / h^2)
+    scale = _slope_scale(dofmap.family, h, np.float64)
+    scale = np.outer(scale, scale).ravel()
+    pairs = pairs * scale
+    pairs[: wts.size] *= h
+    local = np.concatenate([c * fp * wts, (c * f + a2) * wts], axis=1) @ pairs
+    local += const * (scale / h**2)
+    m = dofmap.family.degree + 1
     mat = BandedMatrix(dofmap.n_global, dofmap.half_bandwidth)
-    mat.add_elements(dofmap.element_dofs, local)
+    mat.add_elements(dofmap.element_dofs, local.reshape(n, m, m))
     s1 = dofmap.endpoint(SLOPE, 1)
     mat.add_at(np.array([s1]), np.array([s1]), np.array([-1.0]))
     for i in dofmap.constraints:

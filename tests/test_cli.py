@@ -49,6 +49,15 @@ def test_missing_subcommand_is_usage_error(capsys):
         ["convergence", "--orders", "5..3"],
         ["model", "--orders", "4..2"],
         ["table", "--eta-step", "0.3"],
+        ["table", "--eta-step", "5e-324"],
+        ["table", "--eta-step", "1e-9"],
+        ["fields", "--r1", "nan", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1.0"],
+        ["fields", "--r1", "1", "--r2", "nan", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1.0"],
+        ["fields", "--r1", "1", "--r2", "inf", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1.0"],
+        ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "nan", "--rho", "1.0"],
+        ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "nan"],
+        ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "inf", "--rho", "1.0"],
+        ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1.0", "--pin", "nan"],
     ],
 )
 def test_bad_arguments_exit_two(capsys, argv):

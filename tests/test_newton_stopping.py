@@ -84,7 +84,7 @@ def test_exact_residual_stops_on_tolerance():
     assert converged and reason == "residual" and iters == 1 and rnorm == 0.0
 
 
-@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("p", [3, 4, 5])
 @pytest.mark.parametrize("case", CASES)
 def test_fine_mesh_solves_converge(case, p, oracles):
     # at N = 2560 the residual floor (about 3 N^2 longdouble ulps) sits above

@@ -115,6 +115,29 @@ def test_fluid_props():
         wf.FluidProps(nu=-1.0, rho=1.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[[0, 1, 2, 3], [2, 3, 4, 5], [5, 6, 7, 8]],  # stride 2, then 3
+     [[0, 1, 2, 3], [3, 2, 4, 5]],  # second row permuted
+     [[0, 1], [0, 1]]],  # stride 0
+)
+def test_add_elements_rejects_table_without_fixed_stride(bad):
+    mat = wf.BandedMatrix(9, 3)
+    table = np.array(bad)
+    with pytest.raises(ValueError, match="fixed positive stride"):
+        mat.add_elements(table, np.ones(table.shape[1:] * 2))
+    assert not mat.data.any()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+def test_fluid_props_rejects_non_positive_or_non_finite(bad):
+    for kwargs in ({"nu": bad, "rho": 1.0}, {"nu": 1.0, "rho": bad}):
+        with pytest.raises(ValueError):
+            wf.FluidProps(**kwargs)
+    with pytest.raises(ValueError):
+        wf.FluidProps(nu=1.0, rho=1.0, mu=bad)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         wf.JhProblem(30.0, 0.0)
@@ -383,3 +406,72 @@ def test_newton_solve_tabulates_once_per_dtype(monkeypatch):
     # other meshes reuse them, because the cache key holds no mesh size
     wf.newton_solve(prob, wf.build_mesh(160), wf.hermite_family(4))
     assert len(calls) == len(set(calls)) <= 2
+
+
+def _einsum_kernels(problem, dm, coeffs, rule):
+    """Residual and dense Jacobian as per-point einsum contractions, with
+    np.add.at scatters, plus the per-row scale that bounds their rounding.
+
+    The scale of a row is the largest sum, over one entry of that row, of
+    the absolute values of all terms in it (boundary and constraint terms
+    included).  Arithmetic follows the dtype of `coeffs`.
+    """
+    dtype = coeffs.dtype.type
+    n = dm.n_elem
+    h = dtype(1) / n
+    v, d1, d2 = _tables_from_eval_family(dm.family, rule, h, dtype)
+    wts = rule.weights.astype(dtype)
+    ce = coeffs[dm.element_dofs]
+    f, fp = ce @ v, ce @ d1
+    c = dtype(2) * dtype(problem.reynolds) * dtype(problem.alpha)
+    a2 = dtype(4) * dtype(problem.alpha) ** 2
+    g = c * f + a2
+    oper = d2[None, :, :] + g[:, None, :] * v[None, :, :]
+    oper_abs = np.abs(d2)[None, :, :] + np.abs(g)[:, None, :] * np.abs(v)[None, :, :]
+    res = np.zeros(dm.n_global, dtype=dtype)
+    res_scale = np.zeros(dm.n_global, dtype=dtype)
+    np.add.at(res, dm.element_dofs, np.einsum("niq,nq->ni", oper, fp * wts) * h)
+    np.add.at(res_scale, dm.element_dofs, np.einsum("niq,nq->ni", oper_abs, np.abs(fp) * wts) * h)
+    jac = np.zeros((dm.n_global, dm.n_global), dtype=dtype)
+    jac_abs = np.zeros_like(jac)
+    local = np.einsum("nq,iq,jq->nij", c * fp * wts, v, v) * h
+    local += np.einsum("niq,jq->nij", oper * wts, d1) * h
+    local_abs = np.einsum("nq,iq,jq->nij", np.abs(c * fp) * wts, np.abs(v), np.abs(v)) * h
+    local_abs += np.einsum("niq,jq->nij", oper_abs * wts, np.abs(d1)) * h
+    rows, cols = dm.element_dofs[:, :, None], dm.element_dofs[:, None, :]
+    np.add.at(jac, (rows, cols), local)
+    np.add.at(jac_abs, (rows, cols), local_abs)
+    s1 = dm.endpoint(wf.SLOPE, 1)
+    res[s1] -= coeffs[s1]
+    res_scale[s1] += abs(coeffs[s1])
+    jac[s1, s1] -= 1
+    jac_abs[s1, s1] += 1
+    for i, val in dm.constraints.items():
+        res[i] = coeffs[i] - dtype(val)
+        res_scale[i] = abs(coeffs[i]) + abs(val)
+        jac[i, :] = 0
+        jac[i, i] = jac_abs[i, i] = 1
+    return res, res_scale, jac, jac_abs.max(axis=1)
+
+
+@pytest.mark.parametrize("case", [(30.0, 15.0), (0.0, 15.0)])
+@pytest.mark.parametrize("n", [1, 7, 640])
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_kernels_match_einsum_reference(p, n, case):
+    prob = make_problem(*case)
+    dm = wf.build_dofmap(wf.build_mesh(n), wf.hermite_family(p), wf.jh_constraints())
+    rule = wf.gauss_legendre(wf.required_points(p))
+    rng = np.random.default_rng(100 * p + n)
+    for dtype in (np.float64, np.longdouble):
+        # division in `dtype` fills the longdouble mantissa beyond float64's
+        coeffs = rng.standard_normal(dm.n_global).astype(dtype) / dtype(3)
+        # 1e-13 is 450 float64 ulps; the longdouble bound is 450 of its ulps,
+        # which a residual kernel that rounded through float64 would miss
+        tol = 1e-13 * float(np.finfo(dtype).eps / np.finfo(np.float64).eps)
+        res, res_scale, jac, jac_scale = _einsum_kernels(prob, dm, coeffs, rule)
+        got = wf.assemble_residual(prob, dm, coeffs, rule)
+        assert got.dtype == np.dtype(dtype)
+        assert np.all(np.abs(got - res) <= tol * res_scale)
+        if dtype is np.float64:  # the Jacobian is always assembled in float64
+            got = wf.assemble_jacobian(prob, dm, coeffs, rule).to_dense()
+            assert np.all(np.abs(got - jac) <= tol * jac_scale[:, None])
