@@ -77,6 +77,12 @@ def _solve_case(args):
         hermite_family(args.order),
         SolverOptions(tol=args.newton_tol),
     )
+    if fem.stop_reason == "roundoff":
+        print(
+            "note: newton stopped on roundoff-level steps (stop reason: roundoff); "
+            f"residual {fem.final_residual_norm:.3e}, --newton-tol {args.newton_tol:g}",
+            file=sys.stderr,
+        )
     return problem, fem
 
 

@@ -10,10 +10,14 @@ discretised with C1 Hermite elements.  Weak residual rows are
     R_i = int_0^1 f'(phi_i'' + 2 Re alpha f phi_i + 4 alpha^2 phi_i) dx
           - f'(1) phi_i'(1).
 
-Newton iterates and residuals are kept in extended precision (longdouble)
-while Jacobians are factorised in float64; the value rows of the Jacobian
-scale like 1/h^2, so float64 iterates alone cannot push the residual norm
-to the default tolerance on fine meshes.
+Newton iterates are kept in extended precision (longdouble) while Jacobians
+are factorised in float64; the value rows of the Jacobian scale like 1/h^2,
+so float64 iterates alone cannot push the residual norm to the default
+tolerance on fine meshes.  Residuals follow the dtype of the iterate they are
+given: `newton_loop` evaluates them on a float64 copy while it is still far
+from the root, where the float64 floor (about 1e-9 on fine meshes) lies far
+below the residual, and in longdouble for the last steps and every stop
+decision.
 """
 
 from __future__ import annotations
@@ -388,14 +392,36 @@ def _dofmap(family: ElementFamily, n_elem: int) -> DofMap:
 #: cannot improve it, whatever the residual reads: its floor grows like N^2.
 ROUNDOFF_STEP = 1e-13
 
+#: Newton is "far from the root" while the last step and the next step
+#: predicted from the last two both exceed this times max(1, ||x||_inf).
+#: Far iterates have residuals of 1e-2 to 1e-4, so they are evaluated in
+#: float64 (BLAS); nearer ones, and every stop decision, in longdouble.
+FLOAT64_STEP = 1e-6
+
 
 def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOptions):
     """Shared Newton driver: extended-precision iterate, float64 linear solves.
 
-    Returns (coeffs, converged, iters, final_norm, history, stop_reason).  The
-    loop stops on the first of:
+    Returns (coeffs, converged, iters, final_norm, history, stop_reason).
 
-    - "residual": the max-norm of the free residual rows is <= opts.tol;
+    Precision schedule: with d_k the last step, d_{k-1} the one before it and
+    s = max(1, ||x||_inf), the residual at iterate k is evaluated on a float64
+    copy of x while ||d_k|| > FLOAT64_STEP * s and the quadratic prediction of
+    the next step, ||d_k||^3 / ||d_{k-1}||^2, exceeds FLOAT64_STEP * s too
+    (there is no prediction before the second step).  From the first
+    longdouble evaluation on, the loop stays in longdouble.  A float64
+    residual never ends the loop: when one could (its norm is <= opts.tol, or
+    the loop is about to stop for another reason), the residual is evaluated
+    again on the longdouble iterate and the decision is made on that.  So the
+    final norm, the last history entry and the returned best iterate's norm
+    all come from the longdouble iterate.
+
+    The loop stops on the first of:
+
+    - "residual": the max-norm of the free residual rows is <= opts.tol and
+      the predicted next step ||d_k||^3 / ||d_{k-1}||^2 is <= opts.tol as
+      well (always true before the second step, so a linear solve stops after
+      one step);
     - "max_iter": opts.max_iter steps were taken;
     - "roundoff": the last step was at roundoff level (ROUNDOFF_STEP) and at
       most half the step before it, so the iterate has converged as far as
@@ -406,20 +432,37 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
     iterate seen (by residual norm) is returned.
     """
     coeffs = coeffs0.astype(_LD, copy=True)
+
+    def evaluate(x):
+        res = residual_fn(x)
+        return res, (float(np.max(np.abs(res[free_mask]))) if np.any(free_mask) else 0.0)
+
     history = []
-    best = (np.inf, coeffs.copy())
+    best = (np.inf, coeffs.copy(), True)
     iters = 0
     rnorm = np.inf
     stop_reason = "max_iter"
     step = prev_step = np.inf
+    scale = 1.0
     at_roundoff = False
+    extended = False  # once set, every later residual is longdouble
     for _ in range(opts.max_iter + 1):
-        res = residual_fn(coeffs)
-        rnorm = float(np.max(np.abs(res[free_mask]))) if np.any(free_mask) else 0.0
+        if prev_step == np.inf:
+            predicted = np.inf
+        else:
+            ratio = step / prev_step  # multiplied, not squared: no OverflowError
+            predicted = step * ratio * ratio
+        far = step > FLOAT64_STEP * scale and predicted > FLOAT64_STEP * scale
+        extended = extended or not far
+        x64 = coeffs.astype(np.float64)
+        res, rnorm = evaluate(coeffs if extended else x64)
+        if not extended and (rnorm <= opts.tol or iters >= opts.max_iter or at_roundoff):
+            extended = True
+            res, rnorm = evaluate(coeffs)
         history.append(rnorm)
         if rnorm < best[0]:
-            best = (rnorm, coeffs.copy())
-        if rnorm <= opts.tol:
+            best = (rnorm, coeffs.copy(), extended)
+        if rnorm <= opts.tol and (prev_step == np.inf or predicted <= opts.tol):
             stop_reason = "residual"
             break
         if iters >= opts.max_iter:
@@ -427,16 +470,17 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
         if at_roundoff:
             stop_reason = "roundoff" if step <= 0.5 * prev_step else "stagnated"
             break
-        jac = jacobian_fn(coeffs.astype(np.float64))
-        delta = solve_banded(jac, -res.astype(np.float64))
+        delta = solve_banded(jacobian_fn(x64), -res.astype(np.float64))
         coeffs = coeffs + delta.astype(_LD)
         iters += 1
         prev_step, step = step, float(np.max(np.abs(delta)))
-        at_roundoff = step <= ROUNDOFF_STEP * max(1.0, float(np.max(np.abs(coeffs))))
+        scale = max(1.0, float(np.max(np.abs(coeffs))))
+        at_roundoff = step <= ROUNDOFF_STEP * scale
     converged = stop_reason in ("residual", "roundoff")
     if not converged:
-        coeffs = best[1]
-        rnorm = best[0]
+        rnorm, coeffs, best_extended = best
+        if not best_extended:
+            rnorm = evaluate(coeffs)[1]
     return coeffs, converged, iters, rnorm, tuple(history), stop_reason
 
 

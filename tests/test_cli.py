@@ -100,6 +100,22 @@ def test_solve_pretty_matches_benchmark(capsys):
     assert "962" in out  # DOF count for N=320 quartics
 
 
+def test_roundoff_stop_is_noted_on_stderr(capsys):
+    # p=3, N=2560 ends on roundoff-level steps with the residual above tol
+    argv = ["solve", "--re", "30", "--alpha-deg", "15", "--order", "3", "--nelem", "2560"]
+    rc, out, err = run_capture(capsys, argv + ["--output", "csv"])
+    assert rc == 0
+    header, values = out.splitlines()
+    residual = float(dict(zip(header.split(","), values.split(",")))["residual_norm"])
+    assert residual > 1e-12
+    (note,) = err.splitlines()
+    assert "stop reason: roundoff" in note
+    assert f"residual {residual:.3e}" in note and "--newton-tol 1e-12" in note
+    # a solve that ends on the residual test prints nothing on stderr
+    _rc, _out, err = run_capture(capsys, argv[:3] + ["--output", "csv"])
+    assert err == ""
+
+
 def test_solve_json_echoes_config(capsys):
     rc, out, _err = run_capture(
         capsys,
