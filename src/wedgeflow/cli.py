@@ -69,21 +69,22 @@ def _problem(args) -> JhProblem:
     return JhProblem(args.re, math.radians(args.alpha_deg))
 
 
-def _solve_case(args):
-    problem = _problem(args)
-    fem = newton_solve(
-        problem,
-        build_mesh(args.nelem),
-        hermite_family(args.order),
-        SolverOptions(tol=args.newton_tol),
-    )
+def _fem_solve(problem: JhProblem, order: int, nelem: int, opts: SolverOptions):
+    """`newton_solve` on a uniform Hermite mesh; a `roundoff` stop gets a note on stderr."""
+    fem = newton_solve(problem, build_mesh(nelem), hermite_family(order), opts)
     if fem.stop_reason == "roundoff":
         print(
-            "note: newton stopped on roundoff-level steps (stop reason: roundoff); "
-            f"residual {fem.final_residual_norm:.3e}, --newton-tol {args.newton_tol:g}",
+            "note: newton stopped on roundoff-level steps (stop reason: roundoff) "
+            f"at p={order}, N={nelem}; residual {fem.final_residual_norm:.3e}, "
+            f"--newton-tol {opts.tol:g}",
             file=sys.stderr,
         )
-    return problem, fem
+    return fem
+
+
+def _solve_case(args):
+    problem = _problem(args)
+    return problem, _fem_solve(problem, args.order, args.nelem, SolverOptions(tol=args.newton_tol))
 
 
 def _report_nonconvergence(fem) -> int:
@@ -232,14 +233,13 @@ def cmd_convergence(args) -> int:
     problem = _problem(args)
     orders = _parse_int_list(args.orders)
     nelems = sorted(_parse_int_list(args.nelems))
+    opts = SolverOptions(tol=args.newton_tol)
     ref = shoot(problem, end_tol=args.shoot_tol)
     reports = []
     for p in orders:
         rows = []
         for n in nelems:
-            fem = newton_solve(
-                problem, build_mesh(n), hermite_family(p), SolverOptions(tol=args.newton_tol)
-            )
+            fem = _fem_solve(problem, p, n, opts)
             if not fem.converged:
                 raise SingularMatrixError(
                     f"no convergence at p={p}, N={n}: residual {fem.final_residual_norm:.3e}"
@@ -266,12 +266,7 @@ def cmd_fields(args) -> int:
         return _usage_error("need nr >= 1 and ntheta >= 2")
     fluid = FluidProps(nu=args.nu, rho=args.rho)
     problem = JhProblem(args.re, math.radians(args.alpha_deg), fluid)
-    fem = newton_solve(
-        problem,
-        build_mesh(args.nelem),
-        hermite_family(args.order),
-        SolverOptions(tol=args.newton_tol),
-    )
+    fem = _fem_solve(problem, args.order, args.nelem, SolverOptions(tol=args.newton_tol))
     if not fem.converged:
         return _report_nonconvergence(fem)
     k_val = compute_K(problem, fem.fp_right())
@@ -292,6 +287,7 @@ def cmd_fields(args) -> int:
 
 
 def cmd_check(args) -> int:
+    opts = SolverOptions(tol=args.newton_tol)  # rejects a bad --newton-tol before any output
     failures = 0
 
     def report(name: str, ok: bool, detail: str):
@@ -337,7 +333,7 @@ def cmd_check(args) -> int:
     report("jacobian finite differences", worst < 1e-6, f"max deviation {worst:.2e}")
 
     # duality identity on a converged solve
-    fem = newton_solve(problem, build_mesh(args.nelem), family, SolverOptions(tol=args.newton_tol))
+    fem = _fem_solve(problem, args.order, args.nelem, opts)
     if fem.converged:
         lhs, rhs, diff = duality_pairing_check(fem, problem)
         report("duality pairing identity", abs(diff) <= 1e-9, f"|lhs - rhs| = {abs(diff):.2e}")

@@ -50,8 +50,8 @@ def ivp_rhs(problem: JhProblem, y) -> IvpState:
 
 
 def _check_settings(rtol: float, atol: float, n_dense: int):
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):  # false for NaN too
+        raise ValueError(f"tolerances must be positive and finite, got rtol={rtol!r}, atol={atol!r}")
     if n_dense < 2:
         raise ValueError("dense grid needs at least two points")
 
@@ -145,8 +145,10 @@ def shoot(
     iteration history attached if 50 secant steps cannot reach `end_tol`.
     The returned trajectory is the secant pass with the smallest |y0(1)|.
     """
-    if end_tol < 1e-13:
-        raise ValueError("end_tol below 1e-13 is tighter than the integration error")
+    if not 1e-13 <= end_tol < np.inf:  # false for NaN too
+        raise ValueError(
+            f"end_tol must be finite and at least 1e-13 (the integration error), got {end_tol!r}"
+        )
     _check_settings(rtol, atol, n_dense)
 
     def end_value(s):

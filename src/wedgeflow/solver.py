@@ -22,11 +22,14 @@ decision.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .basis import HERMITE, ElementFamily, ShapeEval, eval_family
 from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, build_mesh, column_slices, jh_constraints
@@ -150,17 +153,67 @@ class BandedMatrix:
         return float(rowsum.max()) if self.n else 0.0
 
 
+def _load_flapack():
+    """Load SciPy's compiled LAPACK extension without importing `scipy.linalg`.
+
+    Returns the `scipy/linalg/_flapack*` module, or None when there is no
+    such file or it cannot be loaded on its own.  `find_spec("scipy")` and
+    the `FileFinder` only look at the file system.  CPython enters a
+    single-phase extension in `sys.modules` as it loads it; the entry is
+    taken out again, because a later `import scipy.linalg` would find it
+    there and skip binding `scipy.linalg._flapack`.  That import then loads
+    the extension normally and gets the same compiled routines.
+    """
+    name = "scipy.linalg._flapack"
+    scipy_spec = importlib.util.find_spec("scipy")
+    locations = scipy_spec.submodule_search_locations if scipy_spec else None
+    for location in locations or ():
+        spec = FileFinder(
+            os.path.join(location, "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        ).find_spec(name)
+        if spec is not None:
+            break
+    else:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:  # e.g. its BLAS is found only through scipy's package init
+        return None
+    finally:
+        sys.modules.pop(name, None)
+    return module
+
+
+@lru_cache(maxsize=None)
+def _dgbsv():
+    """LAPACK `dgbsv`, loaded on the first banded solve (see `solve_banded`)."""
+    flapack = None if "scipy.linalg" in sys.modules else _load_flapack()
+    if flapack is None:
+        from scipy.linalg import lapack as flapack
+    return flapack.dgbsv
+
+
 def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by banded LU with partial pivoting.
+    """Solve a x = b by banded LU with partial pivoting (LAPACK `dgbsv`).
 
     Raises SingularMatrixError (naming the pivot index) when a pivot is zero
     or falls below 1e-14 * ||a||_inf.
+
+    `dgbsv` comes from SciPy's compiled LAPACK extension, loaded directly on
+    the first call.  `scipy.linalg.lapack` re-exports the same routines, but
+    importing `scipy.linalg` takes several times longer than a whole
+    non-shooting CLI command runs: its package init loads the array-API
+    shim, which imports `numpy.f2py`, `numpy.testing`, `numpy.random` and
+    `numpy.ma`.  When `scipy.linalg` is already imported, or the extension
+    cannot be loaded by itself, `scipy.linalg.lapack` is used instead; both
+    run the same routine, so the solution is bit-identical either way.
     """
     if b.shape[0] != a.n:
         raise ValueError("right-hand side length mismatch")
     ab = a.data.astype(np.float64, copy=True)
     anorm = a.inf_norm()
-    lub, _piv, x, info = lapack.dgbsv(a.k, a.k, ab, np.asarray(b, dtype=np.float64))
+    lub, _piv, x, info = _dgbsv()(a.k, a.k, ab, np.asarray(b, dtype=np.float64))
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded solver")
     if info > 0:
@@ -329,8 +382,14 @@ def assemble_jacobian(
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Newton settings; tol 0 iterates until the steps reach roundoff."""
+
     tol: float = 1e-12
     max_iter: int = 25
+
+    def __post_init__(self):
+        if not 0.0 <= self.tol < np.inf:  # false for NaN too
+            raise ValueError(f"newton tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

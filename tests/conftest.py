@@ -1,6 +1,9 @@
 """Shared fixtures: the expensive reference solves run once per session."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,17 @@ MODEL_MESHES = (8, 16, 32, 64, 128)
 
 def make_problem(re, alpha_deg, fluid=None):
     return wf.JhProblem(re, math.radians(alpha_deg), fluid)
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports this wedgeflow checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
 
 
 @pytest.fixture(scope="session")

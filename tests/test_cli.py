@@ -1,14 +1,13 @@
+import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import wedgeflow as wf
 from wedgeflow import cli
+from conftest import run_fresh
 
 
 def run_capture(capsys, argv):
@@ -58,6 +57,17 @@ def test_missing_subcommand_is_usage_error(capsys):
         ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "nan"],
         ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "inf", "--rho", "1.0"],
         ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1.0", "--pin", "nan"],
+        ["solve", "--newton-tol", "inf"],
+        ["solve", "--newton-tol", "nan"],
+        ["solve", "--newton-tol", "-1"],
+        ["table", "--newton-tol", "inf"],
+        ["convergence", "--newton-tol", "nan"],
+        ["model", "--newton-tol", "inf"],
+        ["check", "--newton-tol", "-1"],
+        ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1.0", "--newton-tol", "nan"],
+        ["reference", "--re", "30", "--shoot-tol", "inf"],
+        ["reference", "--re", "30", "--shoot-tol", "nan"],
+        ["convergence", "--shoot-tol", "inf"],
     ],
 )
 def test_bad_arguments_exit_two(capsys, argv):
@@ -114,6 +124,23 @@ def test_roundoff_stop_is_noted_on_stderr(capsys):
     # a solve that ends on the residual test prints nothing on stderr
     _rc, _out, err = run_capture(capsys, argv[:3] + ["--output", "csv"])
     assert err == ""
+
+
+def test_fields_notes_roundoff_stop_and_keeps_stdout(capsys, monkeypatch):
+    argv = ["fields", "--re", "30", "--alpha-deg", "15", "--order", "3", "--nelem", "2560",
+            "--r1", "1", "--r2", "2", "--nr", "1", "--ntheta", "2", "--nu", "1e-3", "--rho", "1"]
+    rc, out, err = run_capture(capsys, argv)
+    assert rc == 0
+    (note,) = err.splitlines()
+    assert "stop reason: roundoff" in note and "p=3, N=2560" in note
+    # the same solution without the roundoff stop prints the same stdout and no note
+    solve = cli.newton_solve
+    monkeypatch.setattr(
+        cli, "newton_solve", lambda *a, **k: dataclasses.replace(solve(*a, **k), stop_reason="residual")
+    )
+    rc, out_without_note, err = run_capture(capsys, argv)
+    assert rc == 0 and err == ""
+    assert out == out_without_note
 
 
 def test_solve_json_echoes_config(capsys):
@@ -311,19 +338,23 @@ def test_check_command_passes(capsys):
 
 # ------------------------------------------------------------ import graph
 
-# Runs in a fresh interpreter, so no earlier test has loaded scipy.integrate.
-# Prints one JSON line per command: argv, exit code, and whether
-# scipy.integrate was in sys.modules after the command returned.
+# Runs in a fresh interpreter, so no earlier test has loaded scipy.integrate
+# or scipy.linalg.  Prints one JSON line per command: argv, exit code, and
+# whether scipy.integrate and scipy.linalg were in sys.modules after the
+# command returned.
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 from wedgeflow import cli
 
+def loaded():
+    return ["scipy.integrate" in sys.modules, "scipy.linalg" in sys.modules]
+
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.run(argv)
-    print(json.dumps([argv, rc, "scipy.integrate" in sys.modules]))
+    print(json.dumps([argv, rc, *loaded()]))
 
-print(json.dumps([["import"], 0, "scipy.integrate" in sys.modules]))
+print(json.dumps([["import"], 0, *loaded()]))
 for argv in json.loads(sys.argv[1]):
     run(argv)
 """
@@ -344,17 +375,36 @@ SHOOTING = [
 
 
 def test_only_shooting_commands_load_the_integrator():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wf.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT, json.dumps(NON_SHOOTING + SHOOTING)],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
-    )
+    proc = run_fresh(IMPORT_GRAPH_SCRIPT, json.dumps(NON_SHOOTING + SHOOTING))
     records = [json.loads(line) for line in proc.stdout.splitlines()]
-    expected = [[argv, 0, False] for argv in [["import"], *NON_SHOOTING]]
-    expected += [[argv, 0, True] for argv in SHOOTING]
+    expected = [[argv, 0, False, False] for argv in [["import"], *NON_SHOOTING]]
+    expected += [[argv, 0, True, True] for argv in SHOOTING]
     assert records == expected
+
+
+# `solve` loads LAPACK without scipy.linalg; a later `import scipy.linalg` in
+# the same process must still bind `_flapack` and solve, and shooting (which
+# imports scipy.linalg through scipy.integrate) must still work.
+SCIPY_LINALG_AFTER_SOLVE_SCRIPT = """
+import contextlib, io, json, sys
+import numpy as np
+from wedgeflow import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc_solve = cli.run(["solve", "--re", "30", "--alpha-deg", "15", "--nelem", "20"])
+before = "scipy.linalg" in sys.modules
+import scipy.linalg
+ab = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 3.0], [1.0, 0.0]])  # [[2, 1], [1, 3]], kl = ku = 1
+_lu, _piv, x, info = scipy.linalg.lapack.dgbsv(1, 1, ab, np.array([3.0, 4.0]))
+with contextlib.redirect_stdout(io.StringIO()):
+    rc_reference = cli.run(["reference", "--re", "30", "--alpha-deg", "15"])
+print(json.dumps([rc_solve, before, hasattr(scipy.linalg, "_flapack"), info, x.tolist(), rc_reference]))
+"""
+
+
+def test_scipy_linalg_imports_normally_after_a_solve():
+    proc = run_fresh(SCIPY_LINALG_AFTER_SOLVE_SCRIPT)
+    assert json.loads(proc.stdout) == [0, False, True, 0, [1.0, 1.0], 0]
 
 
 # ----------------------------------------------------------------- helpers

@@ -161,14 +161,21 @@ def test_interpolated_ode_residual(oracles):
 
 
 def test_end_tol_validation():
-    with pytest.raises(ValueError):
-        wf.shoot(make_problem(30.0, 15.0), end_tol=1e-14)
+    for bad in (1e-14, 0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="end_tol"):
+            wf.shoot(make_problem(30.0, 15.0), end_tol=bad)
 
 
 def test_integrate_argument_validation():
     prob = make_problem(30.0, 15.0)
     with pytest.raises(ValueError):
         integrate(prob, -2.0, rtol=0.0)
+    for bad in (math.nan, math.inf):  # these made the integrator spin without end
+        for kw in ({"rtol": bad}, {"atol": bad}):
+            with pytest.raises(ValueError, match="positive and finite"):
+                integrate(prob, -2.0, **kw)
+            with pytest.raises(ValueError, match="positive and finite"):
+                wf.shoot(prob, **kw)
     with pytest.raises(ValueError):
         integrate(prob, -2.0, n_dense=1)
 

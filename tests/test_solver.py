@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import wedgeflow as wf
 from wedgeflow import solver
-from conftest import CASES, FAMILIES, make_problem
+from conftest import CASES, FAMILIES, make_problem, run_fresh
 
 # Tabulated f(0.5) / f(0.9) reference values for the three cases at N=320, p=4.
 TABLE_SPOTS = {
@@ -73,6 +74,64 @@ def test_banded_singular_names_pivot():
     with pytest.raises(wf.SingularMatrixError) as exc:
         wf.solve_banded(mat, np.ones(3))
     assert "pivot at index" in str(exc.value)
+
+
+# Runs in a fresh interpreter: solves the p=4, N=320 Newton Jacobian at
+# (30, 15 deg) and a singular matrix with `solve_banded`, after preparing the
+# LAPACK loading path named in argv[1].  Prints the solution's bytes, the
+# singular-matrix error and whether scipy.linalg ended up in sys.modules.
+LAPACK_PATH_SCRIPT = """
+import json, math, sys
+import numpy as np
+import wedgeflow as wf
+from wedgeflow import solver
+
+if sys.argv[1] == "scipy-linalg-first":
+    import scipy.linalg
+elif sys.argv[1] == "not-found":
+    solver.EXTENSION_SUFFIXES = [".no-such-suffix"]
+elif sys.argv[1] == "load-fails":
+    class FailingLoader(solver.ExtensionFileLoader):
+        def create_module(self, spec):
+            raise ImportError("simulated: shared library not found")
+    solver.ExtensionFileLoader = FailingLoader
+dofmap = wf.build_dofmap(wf.build_mesh(320), wf.hermite_family(4), wf.jh_constraints())
+problem = wf.JhProblem(30.0, math.radians(15.0))
+rule = wf.gauss_legendre(wf.required_points(4))
+coeffs = wf.poiseuille_guess(dofmap, np.float64)
+jac = wf.assemble_jacobian(problem, dofmap, coeffs, rule)
+x = wf.solve_banded(jac, -wf.assemble_residual(problem, dofmap, coeffs, rule))
+singular = wf.BandedMatrix(3, 1)
+singular.add_at([0, 0, 1, 1, 2], [0, 1, 0, 1, 2], [1.0, 2.0, 2.0, 4.0, 1.0])
+try:
+    wf.solve_banded(singular, np.ones(3))
+    error = None
+except wf.SingularMatrixError as exc:
+    error = str(exc)
+print(json.dumps([x.tobytes().hex(), error, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_lapack_loading_paths_solve_bit_identically():
+    results = {
+        path: json.loads(run_fresh(LAPACK_PATH_SCRIPT, path).stdout)
+        for path in ("direct", "scipy-linalg-first", "not-found", "load-fails")
+    }
+    assert len({x_hex for x_hex, _error, _loaded in results.values()}) == 1
+    for x_hex, error, scipy_linalg_loaded in results.values():
+        assert error is not None and "pivot at index" in error
+    assert {path: r[2] for path, r in results.items()} == {
+        "direct": False, "scipy-linalg-first": True, "not-found": True, "load-fails": True
+    }
+
+
+def test_solver_options_reject_bad_tolerances():
+    for bad in (math.inf, -math.inf, math.nan, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="newton tol"):
+            wf.SolverOptions(tol=bad)
+    assert wf.SolverOptions(tol=0.0).tol == 0.0  # iterate to roundoff
+    with pytest.raises(ValueError, match="newton tol"):
+        wf.model_convergence([1], [8, 16], wf.GALERKIN, math.inf)
 
 
 def _add_at_loop(mat, element_dofs, local):
