@@ -63,37 +63,19 @@ class ShapeEval:
 
 
 # Power-basis coefficients (ascending) of the Hermite functions on [0, 1],
-# ordered (value-left, slope-left, value-right, slope-right, bubbles...).
+# ordered (value-left, slope-left, value-right, slope-right, bubbles...);
+# degree p uses the first p + 1 rows.
 # Bubbles: t^2 (1-t)^2 and t^2 (1-t)^2 (2t-1).
-_HERMITE_COEFFS = {
-    3: np.array(
-        [
-            [1.0, 0.0, -3.0, 2.0, 0.0, 0.0],
-            [0.0, 1.0, -2.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 3.0, -2.0, 0.0, 0.0],
-            [0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-        ]
-    ),
-    4: np.array(
-        [
-            [1.0, 0.0, -3.0, 2.0, 0.0, 0.0],
-            [0.0, 1.0, -2.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 3.0, -2.0, 0.0, 0.0],
-            [0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, -2.0, 1.0, 0.0],
-        ]
-    ),
-    5: np.array(
-        [
-            [1.0, 0.0, -3.0, 2.0, 0.0, 0.0],
-            [0.0, 1.0, -2.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 3.0, -2.0, 0.0, 0.0],
-            [0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, -2.0, 1.0, 0.0],
-            [0.0, 0.0, -1.0, 4.0, -5.0, 2.0],
-        ]
-    ),
-}
+_HERMITE_COEFFS = np.array(
+    [
+        [1.0, 0.0, -3.0, 2.0, 0.0, 0.0],
+        [0.0, 1.0, -2.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 3.0, -2.0, 0.0, 0.0],
+        [0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, -2.0, 1.0, 0.0],
+        [0.0, 0.0, -1.0, 4.0, -5.0, 2.0],
+    ]
+)
 
 
 def eval_hermite(p: int, t) -> ShapeEval:
@@ -115,7 +97,7 @@ def eval_hermite(p: int, t) -> ShapeEval:
     t = np.atleast_1d(np.asarray(t))
     if not np.issubdtype(t.dtype, np.floating):
         t = t.astype(float)
-    coeffs = _HERMITE_COEFFS[p].astype(t.dtype) if t.dtype != np.float64 else _HERMITE_COEFFS[p]
+    coeffs = _HERMITE_COEFFS[: p + 1].astype(t.dtype, copy=False)
     vals = np.empty((p + 1, t.size), dtype=t.dtype)
     d1 = np.empty_like(vals)
     d2 = np.empty_like(vals)

@@ -84,7 +84,7 @@ def _fem_solve(problem: JhProblem, order: int, nelem: int, opts: SolverOptions):
 
 def _solve_case(args):
     problem = _problem(args)
-    return problem, _fem_solve(problem, args.order, args.nelem, SolverOptions(tol=args.newton_tol))
+    return problem, _fem_solve(problem, args.order, args.nelem, args.opts)
 
 
 def _report_nonconvergence(fem) -> int:
@@ -233,13 +233,12 @@ def cmd_convergence(args) -> int:
     problem = _problem(args)
     orders = _parse_int_list(args.orders)
     nelems = sorted(_parse_int_list(args.nelems))
-    opts = SolverOptions(tol=args.newton_tol)
     ref = shoot(problem, end_tol=args.shoot_tol)
     reports = []
     for p in orders:
         rows = []
         for n in nelems:
-            fem = _fem_solve(problem, p, n, opts)
+            fem = _fem_solve(problem, p, n, args.opts)
             if not fem.converged:
                 raise SingularMatrixError(
                     f"no convergence at p={p}, N={n}: residual {fem.final_residual_norm:.3e}"
@@ -266,7 +265,7 @@ def cmd_fields(args) -> int:
         return _usage_error("need nr >= 1 and ntheta >= 2")
     fluid = FluidProps(nu=args.nu, rho=args.rho)
     problem = JhProblem(args.re, math.radians(args.alpha_deg), fluid)
-    fem = _fem_solve(problem, args.order, args.nelem, SolverOptions(tol=args.newton_tol))
+    fem = _fem_solve(problem, args.order, args.nelem, args.opts)
     if not fem.converged:
         return _report_nonconvergence(fem)
     k_val = compute_K(problem, fem.fp_right())
@@ -287,7 +286,6 @@ def cmd_fields(args) -> int:
 
 
 def cmd_check(args) -> int:
-    opts = SolverOptions(tol=args.newton_tol)  # rejects a bad --newton-tol before any output
     failures = 0
 
     def report(name: str, ok: bool, detail: str):
@@ -333,7 +331,7 @@ def cmd_check(args) -> int:
     report("jacobian finite differences", worst < 1e-6, f"max deviation {worst:.2e}")
 
     # duality identity on a converged solve
-    fem = _fem_solve(problem, args.order, args.nelem, opts)
+    fem = _fem_solve(problem, args.order, args.nelem, args.opts)
     if fem.converged:
         lhs, rhs, diff = duality_pairing_check(fem, problem)
         report("duality pairing identity", abs(diff) <= 1e-9, f"|lhs - rhs| = {abs(diff):.2e}")
@@ -423,6 +421,7 @@ def run(argv=None) -> int:
     if hasattr(args, "nelem") and args.nelem < 1:
         return _usage_error("nelem must be positive")
     try:
+        args.opts = SolverOptions(tol=args.newton_tol)  # a bad --newton-tol exits 2 here
         return args.func(args)
     except (ShootingError, SingularMatrixError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

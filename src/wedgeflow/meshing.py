@@ -63,6 +63,17 @@ class DofMap:
         """`column_slices` of `element_dofs`, computed once per map."""
         return column_slices(self.element_dofs)
 
+    def scatter_add(self, out: np.ndarray, local: np.ndarray):
+        """Add local[e, a] to out[element_dofs[e, a]] for every element e.
+
+        Each local column a is one strided slice of `out` (`column_slices`).
+        A DOF gets at most two contributions, from neighbouring elements, so
+        the sum is the same in any order; it keeps the dtype of `out`.
+        """
+        first, stride, span = self.column_slices
+        for a, col in enumerate(first):
+            out[col : col + span : stride] += local[:, a]
+
     def free_mask(self) -> np.ndarray:
         mask = np.ones(self.n_global, dtype=bool)
         for i in self.constraints:

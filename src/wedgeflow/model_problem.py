@@ -18,7 +18,7 @@ from .analysis import error_norms, make_report
 from .basis import eval_hierarchic, hierarchic_family
 from .meshing import build_dofmap, build_mesh, model_constraints
 from .quadrature import gauss_legendre
-from .solver import BandedMatrix, FemSolution, SolverOptions, newton_loop
+from .solver import BandedMatrix, FemSolution, SolverOptions, _reference_tables, basis_tables, newton_loop
 
 _LD = np.longdouble
 _PI_LD = _LD("3.141592653589793238462643383279502884")
@@ -72,14 +72,12 @@ def assemble_model(cfg: ModelConfig, dofmap, rule):
     Least squares gives a symmetric A, SPD on the constrained subspace; the
     constraints are applied by the solve driver.
     """
-    p = cfg.degree
     n = cfg.n_elem
     h = _LD(1) / n
     pts = rule.points.astype(_LD)
     wts = rule.weights.astype(_LD)
-    shapes = eval_hierarchic(p, pts)
-    v = shapes.values
-    dx = shapes.first_derivs / h
+    shapes = _reference_tables(dofmap.family, rule.points.tobytes(), np.dtype(_LD))
+    v, dx, _ = basis_tables(dofmap.family, shapes, h)
     mat = BandedMatrix(dofmap.n_global, dofmap.half_bandwidth, dtype=_LD)
     rhs = np.zeros(dofmap.n_global, dtype=_LD)
     if cfg.formulation == GALERKIN:
@@ -94,10 +92,9 @@ def assemble_model(cfg: ModelConfig, dofmap, rule):
     mat.add_elements(ele, block)
     x = (np.arange(n, dtype=_LD)[:, None] + pts[None, :]) * h
     g = forcing(x)
-    local_rhs = np.einsum("nq,iq,q->ni", g, test, wts) * h
-    np.add.at(rhs, ele, local_rhs)
+    dofmap.scatter_add(rhs, np.einsum("nq,iq,q->ni", g, test, wts) * h)
     if cfg.formulation == GALERKIN:
-        end = eval_hierarchic(p, np.array([1.0], dtype=_LD)).values[:, 0]
+        end = eval_hierarchic(cfg.degree, np.array([1.0], dtype=_LD)).values[:, 0]
         mat.add_elements(ele[-1:], np.outer(end, end))
     return mat, rhs
 
@@ -110,9 +107,8 @@ def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolut
     extended-precision residual.
     """
     opts = opts or SolverOptions(max_iter=10)
-    family = hierarchic_family(cfg.degree)
     mesh = build_mesh(cfg.n_elem)
-    dofmap = build_dofmap(mesh, family, model_constraints())
+    dofmap = build_dofmap(mesh, hierarchic_family(cfg.degree), model_constraints())
     rule = gauss_legendre(MODEL_RULE_POINTS)
     mat, rhs = assemble_model(cfg, dofmap, rule)
     jac = BandedMatrix(mat.n, mat.k, dtype=np.float64)
@@ -129,22 +125,8 @@ def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolut
     coeffs0 = np.zeros(dofmap.n_global, dtype=_LD)
     for i, val in dofmap.constraints.items():
         coeffs0[i] = _LD(val)
-    coeffs, converged, iters, rnorm, history, stop_reason = newton_loop(
-        res_fn, lambda _c: jac, coeffs0, dofmap.free_mask(), opts
-    )
-    out = coeffs.astype(np.float64)
-    for i, val in dofmap.constraints.items():  # prescribed DOFs held exactly
-        out[i] = val
-    return FemSolution(
-        mesh=mesh,
-        family=family,
-        coeffs=out,
-        converged=converged,
-        newton_iters=iters,
-        final_residual_norm=rnorm,
-        norm_history=history,
-        stop_reason=stop_reason,
-    )
+    result = newton_loop(res_fn, lambda _c: jac, coeffs0, dofmap.free_mask(), opts)
+    return FemSolution.from_newton(mesh, dofmap, result)
 
 
 def exact_pair(x):

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .solver import JhProblem
+from .solver import JhProblem, evaluate_on_unit_interval
 
 if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
@@ -199,10 +199,4 @@ def evaluate_reference(ref: ReferenceSolution, eta):
     Uses the integrator's continuous extension, so the dense-grid points
     reproduce the stored states exactly.
     """
-    eta_arr = np.atleast_1d(np.asarray(eta, dtype=np.float64))
-    if not np.all((eta_arr >= 0.0) & (eta_arr <= 1.0)):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    f, fp, fpp = ref.trajectory(eta_arr)
-    if np.isscalar(eta) or np.ndim(eta) == 0:
-        return float(f[0]), float(fp[0]), float(fpp[0])
-    return f, fp, fpp
+    return evaluate_on_unit_interval(eta, ref.trajectory)

@@ -253,17 +253,22 @@ def _reference_tables(family: ElementFamily, points: bytes, dtype: np.dtype) -> 
     return shapes
 
 
-def _scaled_tables(family: ElementFamily, rule: QuadratureRule, h, dtype):
-    """Basis tables at the rule points with physical-slope scaling applied."""
-    dtype = np.dtype(dtype)
-    shapes = _reference_tables(family, rule.points.tobytes(), dtype)
+def basis_tables(family: ElementFamily, shapes: ShapeEval, h) -> tuple:
+    """Physical basis tables (v, d1, d2) on elements of size h.
+
+    `shapes` is an `eval_family` result; the tables get the physical-slope
+    scaling (`_slope_scale`) and the 1/h and 1/h^2 chain factors, in the
+    dtype of `shapes`.  d2 is None for C0 families.  This is the only place
+    that maps reference tables to physical ones.
+    """
+    dtype = shapes.values.dtype
     h = dtype.type(h)
-    scale = _slope_scale(family, h, dtype)
-    v = shapes.values * scale[:, None]
-    d1 = shapes.first_derivs * scale[:, None] / h
+    scale = _slope_scale(family, h, dtype)[:, None]
+    v = shapes.values * scale
+    d1 = shapes.first_derivs * scale / h
     d2 = None
     if shapes.second_derivs is not None:
-        d2 = shapes.second_derivs * scale[:, None] / h**2
+        d2 = shapes.second_derivs * scale / h**2
     return v, d1, d2
 
 
@@ -297,7 +302,8 @@ def quadrature_fields(
     is (f, f', ...) up to derivative `n_derivs`, each (n_elem, nq).  All
     arithmetic follows the dtype of `coeffs`.
     """
-    tables = _scaled_tables(dofmap.family, rule, h, coeffs.dtype)
+    shapes = _reference_tables(dofmap.family, rule.points.tobytes(), coeffs.dtype)
+    tables = basis_tables(dofmap.family, shapes, h)
     ce = coeffs[dofmap.element_dofs]  # (n, p+1)
     return tables, tuple(ce @ t for t in tables[: n_derivs + 1])
 
@@ -337,9 +343,7 @@ def assemble_residual(
     tables = np.concatenate([d2, v], axis=1).T * h  # (2 nq, p + 1)
     local = np.concatenate([fpw, (c * f + a2) * fpw], axis=1) @ tables
     out = np.zeros(dofmap.n_global, dtype=dtype)
-    first, stride, span = dofmap.column_slices
-    for a, col in enumerate(first):  # exact, as in BandedMatrix.add_elements
-        out[col : col + span : stride] += local[:, a]
+    dofmap.scatter_add(out, local)
     s1 = dofmap.endpoint(SLOPE, 1)
     out[s1] -= coeffs[s1]  # boundary term -f'(1) phi_i'(1)
     for i, val in dofmap.constraints.items():
@@ -390,6 +394,9 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 <= self.tol < np.inf:  # false for NaN too
             raise ValueError(f"newton tol must be finite and >= 0, got {self.tol!r}")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"max_iter must be an integer >= 0, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -405,29 +412,27 @@ class FemSolution:
     norm_history: tuple = ()
     stop_reason: str = ""  # see newton_loop
 
+    @classmethod
+    def from_newton(cls, mesh: Mesh1D, dofmap: DofMap, result: tuple) -> FemSolution:
+        """Package a `newton_loop` result on `dofmap`, holding prescribed DOFs exactly."""
+        coeffs, converged, iters, rnorm, history, stop_reason = result
+        coeffs = coeffs.astype(np.float64)
+        for i, val in dofmap.constraints.items():
+            coeffs[i] = val
+        return cls(mesh, dofmap.family, coeffs, converged, iters, rnorm, history, stop_reason)
+
     def evaluate(self, eta) -> tuple:
         """Evaluate (f, f', f'') at eta in [0, 1]; f'' is None for C0 elements."""
-        scalar = np.isscalar(eta) or np.ndim(eta) == 0
-        eta = np.atleast_1d(np.asarray(eta, dtype=np.float64))
-        if not np.all((eta >= 0.0) & (eta <= 1.0)):
-            raise ValueError("evaluation points must lie in [0, 1]")
-        n = self.mesh.n_elem
-        h = 1.0 / n
-        q = eta * n
-        elem = np.minimum(q.astype(np.intp), n - 1)
-        t = q - elem
-        shapes = eval_family(self.family, t)
-        scale = _slope_scale(self.family, h, np.float64)
-        dofs = self.dofmap.element_dofs[elem]  # (m, p+1)
-        ce = self.coeffs[dofs] * scale
-        f = np.einsum("mi,im->m", ce, shapes.values)
-        fp = np.einsum("mi,im->m", ce, shapes.first_derivs) / h
-        fpp = None
-        if shapes.second_derivs is not None:
-            fpp = np.einsum("mi,im->m", ce, shapes.second_derivs) / h**2
-        if scalar:
-            return float(f[0]), float(fp[0]), (None if fpp is None else float(fpp[0]))
-        return f, fp, fpp
+
+        def fields_at(points):
+            n = self.mesh.n_elem
+            q = points * n
+            elem = np.minimum(q.astype(np.intp), n - 1)
+            tables = basis_tables(self.family, eval_family(self.family, q - elem), 1.0 / n)
+            ce = self.coeffs[self.dofmap.element_dofs[elem]]  # (m, p+1)
+            return [None if t is None else np.einsum("mi,im->m", ce, t) for t in tables]
+
+        return evaluate_on_unit_interval(eta, fields_at)
 
     @property
     def dofmap(self) -> DofMap:
@@ -439,6 +444,22 @@ class FemSolution:
         if self.family.kind != HERMITE:
             raise ValueError("slope DOFs exist only for the Hermite family")
         return float(self.coeffs[self.dofmap.endpoint(SLOPE, 1)])
+
+
+def evaluate_on_unit_interval(eta, fields_at) -> tuple:
+    """`fields_at(points)` at eta in [0, 1]; floats (or None) when eta is a scalar.
+
+    `points` is eta as a 1-D float64 array, and `fields_at` returns one array
+    (or None) per field over it.  Raises ValueError unless every point lies
+    in [0, 1], which NaN never does.
+    """
+    points = np.atleast_1d(np.asarray(eta, dtype=np.float64))
+    if not np.all((points >= 0.0) & (points <= 1.0)):
+        raise ValueError("evaluation points must lie in [0, 1]")
+    fields = tuple(fields_at(points))
+    if np.ndim(eta) == 0:
+        return tuple(None if a is None else float(a[0]) for a in fields)
+    return fields
 
 
 @lru_cache(maxsize=None)
@@ -580,20 +601,5 @@ def newton_solve(
     def jac_fn(c):
         return assemble_jacobian(problem, dofmap, c, rule)
 
-    coeffs0 = poiseuille_guess(dofmap)
-    coeffs, converged, iters, rnorm, history, stop_reason = newton_loop(
-        res_fn, jac_fn, coeffs0, dofmap.free_mask(), opts
-    )
-    out = coeffs.astype(np.float64)
-    for i, val in dofmap.constraints.items():  # prescribed DOFs held exactly
-        out[i] = val
-    return FemSolution(
-        mesh=mesh,
-        family=family,
-        coeffs=out,
-        converged=converged,
-        newton_iters=iters,
-        final_residual_norm=rnorm,
-        norm_history=history,
-        stop_reason=stop_reason,
-    )
+    result = newton_loop(res_fn, jac_fn, poiseuille_guess(dofmap), dofmap.free_mask(), opts)
+    return FemSolution.from_newton(mesh, dofmap, result)

@@ -65,6 +65,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         ["model", "--newton-tol", "inf"],
         ["check", "--newton-tol", "-1"],
         ["fields", "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1.0", "--newton-tol", "nan"],
+        ["reference", "--re", "30", "--newton-tol", "nan"],
         ["reference", "--re", "30", "--shoot-tol", "inf"],
         ["reference", "--re", "30", "--shoot-tol", "nan"],
         ["convergence", "--shoot-tol", "inf"],

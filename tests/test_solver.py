@@ -134,6 +134,21 @@ def test_solver_options_reject_bad_tolerances():
         wf.model_convergence([1], [8, 16], wf.GALERKIN, math.inf)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, True, None, "3"])
+def test_solver_options_reject_bad_max_iter(bad):
+    with pytest.raises(ValueError, match="max_iter"):
+        wf.SolverOptions(max_iter=bad)
+
+
+def test_max_iter_zero_evaluates_the_guess_once():
+    fem = wf.newton_solve(
+        make_problem(30.0, 15.0), wf.build_mesh(20), wf.hermite_family(3),
+        wf.SolverOptions(max_iter=np.int64(0)),
+    )
+    assert fem.newton_iters == 0 and fem.stop_reason == "max_iter"
+    assert len(fem.norm_history) == 1 and 0.0 < fem.final_residual_norm < np.inf
+
+
 def _add_at_loop(mat, element_dofs, local):
     """Reference scatter: one add_at per local (a, b) entry."""
     for a in range(element_dofs.shape[1]):
@@ -437,6 +452,33 @@ def test_quadrature_fields_tables_match_eval_family(family, dtype):
         ce = coeffs[dm.element_dofs]
         assert np.array_equal(f, ce @ expected[0])
         assert np.array_equal(fp, ce @ expected[1])
+
+
+@pytest.mark.parametrize("n", [3, 7, 10])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
+def test_evaluate_matches_quadrature_fields(family, n):
+    # `evaluate` and `quadrature_fields` share one tabulation; they differ
+    # only in how they contract it (einsum against matmul), so at the rule
+    # points they agree to a few ulps of sum_i |c_i t_i|
+    mesh = wf.build_mesh(n)
+    dm = wf.build_dofmap(mesh, family)
+    # dyadic points: e + t is exact, so most of them survive eta * n exactly
+    points = np.arange(1, 16, 2) / 16
+    rule = wf.QuadratureRule(points, np.full(8, 1 / 8), 1)
+    coeffs = np.random.default_rng(n).standard_normal(dm.n_global)
+    n_derivs = 2 if family.kind == wf.HERMITE else 1
+    tables, fields = solver.quadrature_fields(dm, coeffs, rule, 1.0 / n, n_derivs)
+    # only points whose element and local coordinate survive eta * n exactly
+    elem = np.arange(n)[:, None]
+    eta = (elem + rule.points) / n
+    exact = (np.floor(eta * n) == elem) & (eta * n - elem == rule.points)
+    assert exact.sum() >= exact.size // 2
+    got = wf.FemSolution(mesh, family, coeffs, True, 0, 0.0).evaluate(eta[exact])
+    assert (got[2] is None) == (n_derivs == 1)
+    ce = np.abs(coeffs[dm.element_dofs])
+    for k in range(n_derivs + 1):
+        bound = 4 * np.finfo(np.float64).eps * (ce @ np.abs(tables[k]))[exact]
+        assert np.all(np.abs(got[k] - fields[k][exact]) <= bound)
 
 
 def test_cached_reference_tables_are_read_only():
