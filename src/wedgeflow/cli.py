@@ -24,7 +24,7 @@ from .meshing import build_dofmap, build_mesh, jh_constraints
 # attributes of this module because perfbench/tracer.py wraps them at `cli` too.
 from .model_problem import GALERKIN, LEAST_SQUARES, model_convergence, solve_model  # noqa: F401
 from .quadrature import gauss_legendre, required_points
-from .shooting import ShootingError, evaluate_reference, shoot  # noqa: F401
+from .shooting import ShootingError, check_end_tol, evaluate_reference, shoot  # noqa: F401
 from .solver import (
     FluidProps,
     JhProblem,
@@ -98,28 +98,37 @@ def _report_nonconvergence(fem) -> int:
     return 1
 
 
-def _rows_text(header: list[str], rows: list[list], args, command: str) -> str:
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(CSV_FMT.format(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(args, **body) -> str:
+    """One JSON document: the run's settings under "config", then `body`."""
+    config = {
+        "command": args.command,
+        "re": args.re,
+        "alpha_deg": args.alpha_deg,
+        "order": args.order,
+        "n_elem": args.nelem,
+        "newton_tol": args.newton_tol,
+        "shoot_tol": args.shoot_tol,
+        "output": args.output,
+        "out_path": args.out,
+    }
+    for name in ("orders", "nelems", "formulation"):  # the study settings
+        if hasattr(args, name):
+            config[name] = getattr(args, name)
+    return json.dumps({"config": config, **body}, indent=2) + "\n"
+
+
+def _rows_text(header: list[str], rows: list[list], args) -> str:
     if args.output == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(CSV_FMT.format(v) if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv_text(header, rows)
     if args.output == "json":
-        payload = {
-            "config": {
-                "command": command,
-                "re": args.re,
-                "alpha_deg": args.alpha_deg,
-                "order": args.order,
-                "n_elem": args.nelem,
-                "newton_tol": args.newton_tol,
-                "shoot_tol": args.shoot_tol,
-                "output": args.output,
-                "out_path": args.out,
-            },
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(args, rows=[dict(zip(header, row)) for row in rows])
     widths = [max(len(h), 18) for h in header]
     lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
     for row in rows:
@@ -161,7 +170,7 @@ def cmd_solve(args) -> int:
         fp1,
         k_val,
     ]
-    _emit(_rows_text(header, [row], args, "solve"), args.out)
+    _emit(_rows_text(header, [row], args), args.out)
     return 0
 
 
@@ -173,7 +182,7 @@ def cmd_reference(args) -> int:
         [float(e), float(st[0]), float(st[1]), float(st[2])]
         for e, st in zip(ref.grid, ref.states)
     ]
-    _emit(_rows_text(header, rows, args, "reference"), args.out)
+    _emit(_rows_text(header, rows, args), args.out)
     return 0
 
 
@@ -196,18 +205,15 @@ def cmd_table(args) -> int:
     f_vals = fem.evaluate(etas)[0]
     header = ["eta", "f"]
     rows = [[float(e), float(v)] for e, v in zip(etas, f_vals)]
-    _emit(_rows_text(header, rows, args, "table"), args.out)
+    _emit(_rows_text(header, rows, args), args.out)
     return 0
 
 
-def _convergence_csv(report) -> str:
-    lines = ["n_elem,n_nodes,l2_error,h1_error"]
-    for row in report.rows:
-        lines.append(
-            f"{row.n_elem},{row.n_elem + 1},"
-            f"{CSV_FMT.format(row.l2)},{CSV_FMT.format(row.h1)}"
-        )
-    return "\n".join(lines) + "\n"
+REPORT_HEADER = ["n_elem", "n_nodes", "l2_error", "h1_error"]
+
+
+def _report_rows(report) -> list[list]:
+    return [[row.n_elem, row.n_elem + 1, row.l2, row.h1] for row in report.rows]
 
 
 def _suffixed_path(path: str, suffix: str) -> str:
@@ -216,8 +222,21 @@ def _suffixed_path(path: str, suffix: str) -> str:
 
 
 def _emit_reports(reports, labels, args) -> int:
+    """One CSV table per report, and its slopes on stderr (stdout with --out);
+    with `--output json`, one document holding every report."""
+    if args.output == "json":
+        studies = {
+            label: {
+                "rows": [dict(zip(REPORT_HEADER, row)) for row in _report_rows(report)],
+                "slope_l2": report.slope_l2,
+                "slope_h1": report.slope_h1,
+            }
+            for report, label in zip(reports, labels)
+        }
+        _emit(_json_text(args, reports=studies), args.out)
+        return 0
     for report, label in zip(reports, labels):
-        text = _convergence_csv(report)
+        text = _csv_text(REPORT_HEADER, _report_rows(report))
         if args.out:
             _emit(text, _suffixed_path(args.out, label))
         else:
@@ -281,7 +300,7 @@ def cmd_fields(args) -> int:
         [float(r), float(t), float(u), float(pv)]
         for (r, t), (u, pv) in zip(points, out)
     ]
-    _emit(_rows_text(header, rows, args, "fields"), args.out)
+    _emit(_rows_text(header, rows, args), args.out)
     return 0
 
 
@@ -422,6 +441,7 @@ def run(argv=None) -> int:
         return _usage_error("nelem must be positive")
     try:
         args.opts = SolverOptions(tol=args.newton_tol)  # a bad --newton-tol exits 2 here
+        check_end_tol(args.shoot_tol)  # and so does a bad --shoot-tol
         return args.func(args)
     except (ShootingError, SingularMatrixError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -27,7 +27,13 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.machinery import (
+    EXTENSION_SUFFIXES,
+    SOURCE_SUFFIXES,
+    ExtensionFileLoader,
+    FileFinder,
+    SourceFileLoader,
+)
 
 import numpy as np
 
@@ -153,24 +159,31 @@ class BandedMatrix:
         return float(rowsum.max()) if self.n else 0.0
 
 
-def _load_flapack():
-    """Load SciPy's compiled LAPACK extension without importing `scipy.linalg`.
+def load_scipy_module(name: str):
+    """Load the module `scipy.<name>` from its file without running any package init.
 
-    Returns the `scipy/linalg/_flapack*` module, or None when there is no
-    such file or it cannot be loaded on its own.  `find_spec("scipy")` and
-    the `FileFinder` only look at the file system.  CPython enters a
-    single-phase extension in `sys.modules` as it loads it; the entry is
-    taken out again, because a later `import scipy.linalg` would find it
-    there and skip binding `scipy.linalg._flapack`.  That import then loads
-    the extension normally and gets the same compiled routines.
+    `name` is dotted below `scipy`, e.g. "linalg._flapack" (a compiled
+    extension) or "integrate._ivp.dop853_coefficients" (a source file).
+    Returns the module, or None when SciPy has no such file or the module
+    cannot be loaded on its own; a module that is already imported is
+    returned as it is.  `find_spec("scipy")` and the `FileFinder` only look
+    at the file system.  CPython enters a single-phase extension in
+    `sys.modules` as it loads it; the entry is taken out again, because a
+    later import of the package would find it there and skip binding it as
+    the package's attribute.  That import then loads the file normally and
+    gets the same code and data.
     """
-    name = "scipy.linalg._flapack"
+    fullname = f"scipy.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
     scipy_spec = importlib.util.find_spec("scipy")
     locations = scipy_spec.submodule_search_locations if scipy_spec else None
     for location in locations or ():
         spec = FileFinder(
-            os.path.join(location, "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES)
-        ).find_spec(name)
+            os.path.join(location, *name.split(".")[:-1]),
+            (ExtensionFileLoader, EXTENSION_SUFFIXES),
+            (SourceFileLoader, SOURCE_SUFFIXES),
+        ).find_spec(fullname)
         if spec is not None:
             break
     else:
@@ -181,14 +194,14 @@ def _load_flapack():
     except ImportError:  # e.g. its BLAS is found only through scipy's package init
         return None
     finally:
-        sys.modules.pop(name, None)
+        sys.modules.pop(fullname, None)
     return module
 
 
 @lru_cache(maxsize=None)
 def _dgbsv():
     """LAPACK `dgbsv`, loaded on the first banded solve (see `solve_banded`)."""
-    flapack = None if "scipy.linalg" in sys.modules else _load_flapack()
+    flapack = load_scipy_module("linalg._flapack")
     if flapack is None:
         from scipy.linalg import lapack as flapack
     return flapack.dgbsv
@@ -205,9 +218,10 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
     importing `scipy.linalg` takes several times longer than a whole
     non-shooting CLI command runs: its package init loads the array-API
     shim, which imports `numpy.f2py`, `numpy.testing`, `numpy.random` and
-    `numpy.ma`.  When `scipy.linalg` is already imported, or the extension
-    cannot be loaded by itself, `scipy.linalg.lapack` is used instead; both
-    run the same routine, so the solution is bit-identical either way.
+    `numpy.ma`.  When `scipy.linalg` is already imported, its extension is
+    used; when the extension cannot be loaded by itself, `scipy.linalg.lapack`
+    is imported instead.  Each runs the same routine, so the solution is
+    bit-identical either way.
     """
     if b.shape[0] != a.n:
         raise ValueError("right-hand side length mismatch")

@@ -69,6 +69,7 @@ def test_missing_subcommand_is_usage_error(capsys):
         ["reference", "--re", "30", "--shoot-tol", "inf"],
         ["reference", "--re", "30", "--shoot-tol", "nan"],
         ["convergence", "--shoot-tol", "inf"],
+        ["model", "--shoot-tol", "nan"],
     ],
 )
 def test_bad_arguments_exit_two(capsys, argv):
@@ -298,6 +299,52 @@ def test_model_least_squares_formulation(capsys):
     assert "# least_squares_p2" in out
 
 
+@pytest.mark.parametrize(
+    "argv, labels",
+    [
+        (["model", "--orders", "1..2", "--nelems", "4,8,16"], ["galerkin_p1", "galerkin_p2"]),
+        (["convergence", "--re", "30", "--alpha-deg", "15", "--orders", "3,4",
+          "--nelems", "10,20,40"], ["p3", "p4"]),
+    ],
+)
+def test_studies_emit_one_json_document(capsys, argv, labels):
+    rc, csv_out, csv_err = run_capture(capsys, [*argv, "--output", "csv"])
+    assert rc == 0
+    rc, out, err = run_capture(capsys, [*argv, "--output", "json"])
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["config"]["command"] == argv[0]
+    assert payload["config"]["orders"] == argv[argv.index("--orders") + 1]
+    assert list(payload["reports"]) == labels
+    # the same rows as the CSV tables (17 digits round-trip) and the same slopes
+    tables = {}
+    for block in csv_out.split("# ")[1:]:
+        label, header, *lines = block.strip().splitlines()
+        tables[label] = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    for label, report in payload["reports"].items():
+        assert report["rows"] == tables[label]
+        summary = f"{label}: slope_l2 = {report['slope_l2']:.3f}, slope_h1 = {report['slope_h1']:.3f}"
+        assert summary in csv_err.splitlines()
+
+
+@pytest.mark.parametrize("command", ["reference", "convergence"])
+@pytest.mark.parametrize(
+    "reynolds, alpha_deg, min_f, fp1",
+    [("-100", "15", "-2.235e+00", "6.986430e+00"), ("-500", "5", "-2.038e+00", "7.847304e+00")],
+)
+def test_non_physical_oracle_root_is_a_numerical_failure(
+    capsys, command, reynolds, alpha_deg, min_f, fp1
+):
+    argv = [command, "--re", reynolds, "--alpha-deg", alpha_deg]
+    if command == "convergence":
+        argv += ["--orders", "3", "--nelems", "10,20,40"]
+    rc, out, err = run_capture(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("numerical failure: non-physical root")
+    assert f"min f = {min_f}" in err and f"f'(1) = {fp1}" in err
+
+
 # ----------------------------------------------------------------- fields
 
 
@@ -342,7 +389,8 @@ def test_check_command_passes(capsys):
 # Runs in a fresh interpreter, so no earlier test has loaded scipy.integrate
 # or scipy.linalg.  Prints one JSON line per command: argv, exit code, and
 # whether scipy.integrate and scipy.linalg were in sys.modules after the
-# command returned.
+# command returned.  No command loads either: solves load LAPACK's compiled
+# extension by itself, and shooting reads DOP853's coefficient file.
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 from wedgeflow import cli
@@ -361,31 +409,27 @@ for argv in json.loads(sys.argv[1]):
 """
 
 CASE = ["--re", "30", "--alpha-deg", "15"]
-NON_SHOOTING = [
+COMMANDS = [
     ["solve", *CASE, "--order", "3", "--nelem", "20"],
     ["table", *CASE, "--order", "3", "--nelem", "20"],
     ["model", "--orders", "1..2", "--nelems", "8,16,32"],
     ["check", *CASE, "--nelem", "20"],
     ["fields", *CASE, "--nelem", "20", "--r1", "0.5", "--r2", "1", "--nr", "2",
      "--ntheta", "3", "--nu", "1e-3", "--rho", "1000"],
-]
-SHOOTING = [
     ["convergence", *CASE, "--orders", "3", "--nelems", "10,20,40"],
     ["reference", *CASE],
 ]
 
 
 def test_only_shooting_commands_load_the_integrator():
-    proc = run_fresh(IMPORT_GRAPH_SCRIPT, json.dumps(NON_SHOOTING + SHOOTING))
+    proc = run_fresh(IMPORT_GRAPH_SCRIPT, json.dumps(COMMANDS))
     records = [json.loads(line) for line in proc.stdout.splitlines()]
-    expected = [[argv, 0, False, False] for argv in [["import"], *NON_SHOOTING]]
-    expected += [[argv, 0, True, True] for argv in SHOOTING]
-    assert records == expected
+    assert records == [[argv, 0, False, False] for argv in [["import"], *COMMANDS]]
 
 
 # `solve` loads LAPACK without scipy.linalg; a later `import scipy.linalg` in
-# the same process must still bind `_flapack` and solve, and shooting (which
-# imports scipy.linalg through scipy.integrate) must still work.
+# the same process must still bind `_flapack` and solve, and a shooting
+# command after that import must still work.
 SCIPY_LINALG_AFTER_SOLVE_SCRIPT = """
 import contextlib, io, json, sys
 import numpy as np

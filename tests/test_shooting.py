@@ -178,6 +178,11 @@ def test_integrate_argument_validation():
                 wf.shoot(prob, **kw)
     with pytest.raises(ValueError):
         integrate(prob, -2.0, n_dense=1)
+    # below 100 eps the steps shrink to roundoff; at 1e-300 the integration crawls
+    with pytest.raises(ValueError, match="rtol must be at least 100 eps"):
+        wf.shoot(prob, rtol=1e-300, atol=1e-300)
+    with pytest.raises(ValueError, match="rtol must be at least 100 eps"):
+        integrate(prob, -2.0, rtol=0.5 * shooting.MIN_RTOL)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -187,3 +192,17 @@ def test_integration_failure_reports_location():
     with pytest.raises(wf.ShootingError) as exc:
         integrate(prob, 100.0)
     assert "eta" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "case, min_f, fp1",
+    [((-100.0, 15.0), "-2.235e+00", "6.986430e+00"), ((-500.0, 5.0), "-2.038e+00", "7.847304e+00")],
+)
+def test_non_physical_root_is_refused(case, min_f, fp1):
+    # the secant iteration converges here to a root with reverse flow (f < 0)
+    with pytest.raises(wf.ShootingError) as exc:
+        wf.shoot(make_problem(*case))
+    message = str(exc.value)
+    assert message.startswith("non-physical root")
+    assert f"min f = {min_f}" in message and f"f'(1) = {fp1}" in message
+    assert exc.value.history  # the secant history is attached
