@@ -1,41 +1,43 @@
 """Shooting-method reference solver for the wedge-flow profile.
 
-Rewrites the third-order boundary value problem as the first-order system
+Rewrites the third-order boundary value problem as the initial value problem
 
-    y0' = y1,  y1' = y2,  y2' = -2 Re alpha y0 y1 - 4 alpha^2 y1,
-    y0(0) = 1, y1(0) = 0, y2(0) = s,
+    f''' = -2 Re alpha f f' - 4 alpha^2 f',  f(0) = 1, f'(0) = 0, f''(0) = s,
 
 and iterates on the unknown initial curvature s with the secant method until
-y0(1) = 0.  The best secant pass is kept whole: its continuous extension
-gives (f, f', f'') anywhere in [0, 1] and is sampled on a dense uniform grid.
+f(1) = 0.  The best secant pass is kept whole: its step polynomials give
+(f, f', f'') anywhere in [0, 1] and are sampled on a dense uniform grid.
 
-Each pass is integrated by `solve_ivp`, a NumPy port of SciPy's DOP853
-(Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10) that repeats SciPy's
-arithmetic step for step, so its results are bit-identical to
-`scipy.integrate.solve_ivp(..., method="DOP853", dense_output=True)`.  The
-Butcher tableau is read from SciPy's own coefficient file; `scipy.integrate`,
-whose import takes several times longer than a whole shooting command runs,
-is not imported.
+Each pass is integrated by `solve_ivp`, a Taylor-series method of degree
+TAYLOR_ORDER.  The right-hand side is quadratic: f''' = -(c/2) (f^2)' - a2 f'
+with c = 2 Re alpha and a2 = 4 alpha^2.  Matching powers of tau in
+f(eta + tau) = sum_k f_k tau^k gives the recurrence
+
+    f_{k+3} = -((c/2) S_{k+1} + a2 f_{k+1}) / ((k + 2)(k + 3)),
+    S_n = sum_{j=0..n} f_j f_{n-j},
+
+from f_0 = f, f_1 = f', f_2 = f''/2.  A step's polynomial gives both the
+state at its end and the dense output inside it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .solver import JhProblem, evaluate_on_unit_interval, load_scipy_module
+from .solver import JhProblem, evaluate_on_unit_interval
 
 DEFAULT_DENSE_POINTS = 4097
 DEFAULT_END_TOL = 1e-13
 DEFAULT_RTOL = 1e-13
 DEFAULT_ATOL = 1e-14
-#: A smaller rtol asks DOP853 for a local error below roundoff: the steps
-#: shrink until the integration fails, or it crawls (at rtol = atol = 1e-300
-#: it had not finished after two minutes).  SciPy raises such an rtol to this
-#: floor; here it is refused.
+#: A smaller rtol asks for a truncation error below roundoff, which shorter
+#: steps cannot deliver; they only multiply (at rtol = atol = 1e-300 the
+#: steps are 1e-14 long, so a pass would take some 1e14 of them).  It is refused.
 MIN_RTOL = 100 * np.finfo(np.float64).eps
 #: A root whose profile dips below -NEGATIVE_F_TOL has reverse flow: it is not
 #: the unidirectional profile, whose only negative values are roundoff at eta = 1.
@@ -48,19 +50,6 @@ class ShootingError(RuntimeError):
     def __init__(self, message, history=()):
         super().__init__(message)
         self.history = tuple(history)
-
-
-class IvpState(NamedTuple):
-    y0: float
-    y1: float
-    y2: float
-
-
-def ivp_rhs(problem: JhProblem, y) -> IvpState:
-    """Right-hand side of the first-order system at state y = (y0, y1, y2)."""
-    c = 2.0 * problem.reynolds * problem.alpha
-    a2 = 4.0 * problem.alpha**2
-    return IvpState(y[1], y[2], -c * y[0] * y[1] - a2 * y[1])
 
 
 def check_end_tol(end_tol: float):
@@ -80,216 +69,97 @@ def _check_settings(rtol: float, atol: float, n_dense: int):
         raise ValueError("dense grid needs at least two points")
 
 
-# Step-size control of SciPy's RungeKutta solvers, with DOP853's error
-# estimator order 7.
-SAFETY = 0.9
-MIN_FACTOR = 0.2
-MAX_FACTOR = 10
-ERROR_EXPONENT = -1 / 8
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-REACHED_END = "The solver successfully reached the end of the integration interval."
+#: Degree of each step's Taylor polynomial.
+TAYLOR_ORDER = 24
 
 
-class Dop853Tableau(NamedTuple):
-    """DOP853's coefficients, sliced as the attributes of `scipy.integrate.DOP853`.
+def _taylor_coefficients(problem: JhProblem, y) -> list[float]:
+    """Coefficients f_0..f_M of f's Taylor polynomial about a point with state y = (f, f', f'')."""
+    half_c = float(problem.reynolds * problem.alpha)
+    a2 = float(4.0 * problem.alpha**2)
+    f = [y[0], y[1], 0.5 * y[2]]
+    for k in range(TAYLOR_ORDER - 2):
+        # fsum, unlike sum (compensated since Python 3.12), rounds alike on every version
+        cauchy = math.fsum(map(operator.mul, f[: k + 2], f[k + 1 :: -1]))
+        f.append(-(half_c * cauchy + a2 * f[k + 1]) / ((k + 2) * (k + 3)))
+    return f
 
-    `A`, `B`, `C`: the 12-stage method; `E3`, `E5`: its 3rd- and 5th-order
-    error estimators; `A_EXTRA`, `C_EXTRA`: the three extra stages of the
-    dense output; `D`: the rows of its 7-term interpolating polynomial.
+
+def _taylor_states(coeffs, tau) -> tuple:
+    """(f, f', f'') at offset tau of the polynomial sum_k coeffs[k] tau^k, by Horner's rule.
+
+    `tau` and each coeffs[k] are floats, or arrays of one shape; the
+    arithmetic is the same either way, so a step's end state is bit-identical
+    to its dense output there.
     """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    E3: np.ndarray
-    E5: np.ndarray
-    D: np.ndarray
-    A_EXTRA: np.ndarray
-    C_EXTRA: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def dop853_tableau() -> Dop853Tableau:
-    """SciPy's DOP853 coefficients, read from the one file that holds them.
-
-    `scipy/integrate/_ivp/dop853_coefficients.py` imports only NumPy, while
-    `import scipy.integrate` takes several times longer than a whole shooting
-    command runs.  Without that file the coefficients come from
-    `scipy.integrate.DOP853`; they are the same arrays either way.
-    """
-    coeffs = load_scipy_module("integrate._ivp.dop853_coefficients")
-    if coeffs is None:
-        from scipy.integrate import DOP853
-
-        return Dop853Tableau(*(getattr(DOP853, name) for name in Dop853Tableau._fields))
-    n = coeffs.N_STAGES
-    return Dop853Tableau(
-        coeffs.A[:n, :n], coeffs.B, coeffs.C[:n], coeffs.E3, coeffs.E5, coeffs.D,
-        coeffs.A[n + 1:], coeffs.C[n + 1:],
-    )
+    f, d1, d2 = coeffs[-1], 0.0, 0.0
+    for c in coeffs[-2::-1]:
+        d2 = d2 * tau + d1
+        d1 = d1 * tau + f
+        f = f * tau + c
+    return f, d1, 2.0 * d2
 
 
 class DenseTrajectory(NamedTuple):
-    """The continuous extension of an integration: one polynomial per step.
+    """The continuous extension of an integration: one Taylor polynomial per step.
 
-    Step i covers [ts[i], ts[i + 1]], starts from the state y_old[i] and has
-    the coefficient rows F[i] of DOP853's 7-term interpolant.
+    Step i covers [ts[i], ts[i + 1]], and coeffs[i] holds the Taylor
+    coefficients of f about ts[i].
     """
 
     ts: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
+    coeffs: np.ndarray
 
     def __call__(self, eta) -> np.ndarray:
         """States at the points eta, one row per component (one state for a scalar).
 
         A point on a step boundary takes the earlier step, and points outside
-        [ts[0], ts[-1]] the first or last one, as in SciPy's `OdeSolution`.
+        [ts[0], ts[-1]] the first or last one.
         """
         t = np.atleast_1d(np.asarray(eta, dtype=np.float64))
-        step = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.F) - 1)
-        t_old = self.ts[step]
-        x = ((t - t_old) / (self.ts[step + 1] - t_old))[:, None]
-        coeffs = self.F[step]
-        y = np.zeros((t.size, self.y_old.shape[1]))
-        for i in range(coeffs.shape[1]):
-            y += coeffs[:, -1 - i]
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old[step]
-        return y.T if np.ndim(eta) else y[0]
+        step = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.coeffs) - 1)
+        y = np.array(_taylor_states(self.coeffs[step].T, t - self.ts[step]))
+        return y if np.ndim(eta) else y[:, 0]
 
 
 class IvpResult(NamedTuple):
-    t: np.ndarray  # accepted step ends, t[0] = t_span[0]
-    y: np.ndarray  # (n, len(t)) states at t
-    sol: DenseTrajectory | None  # None when the integration failed
-    nfev: int
-    success: bool
-    message: str
+    y: np.ndarray  # (3, steps + 1) states at the step ends sol.ts
+    sol: DenseTrajectory
+    nfev: int  # Taylor steps taken
 
 
-def _rms(x) -> float:
-    return np.linalg.norm(x) / x.size**0.5
-
-
-def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
-    """First step size, by Hairer, Norsett & Wanner's rule (Solving ODEs I, Sec. II.4)."""
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
-
-
-def _stages(fun, t, y, h, a_rows, c_values, K, first):
-    """Fill K[first:] with the stages whose coefficients are a_rows and c_values."""
-    for s, (a, c) in enumerate(zip(a_rows, c_values), start=first):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t + c * h, y + dy)
-
-
-def _error_norm(tab: Dop853Tableau, K, h, scale) -> float:
-    """DOP853's combined 5th/3rd-order error estimate, in units of `scale`."""
-    err5_norm_2 = np.linalg.norm(np.dot(K.T, tab.E5) / scale) ** 2
-    err3_norm_2 = np.linalg.norm(np.dot(K.T, tab.E3) / scale) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
-def _dense_coefficients(fun, tab, K_ext, t_old, y_old, y, f, h) -> np.ndarray:
-    """The 7 coefficient rows of the interpolant over the step [t_old, t_old + h]."""
-    _stages(fun, t_old, y_old, h, tab.A_EXTRA, tab.C_EXTRA, K_ext, len(tab.B) + 1)
-    f_old = K_ext[0]
-    delta_y = y - y_old
-    F = np.empty((3 + len(tab.D), y.size))
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(tab.D, K_ext)
-    return F
-
-
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> IvpResult:
-    """Integrate y' = fun(t, y) forward over t_span with DOP853, keeping its
+def solve_ivp(problem: JhProblem, s: float, rtol: float, atol: float) -> IvpResult:
+    """Integrate from (f, f', f'') = (1, 0, s) over eta in [0, 1], keeping the
     continuous extension in `sol`.
 
-    The arithmetic is that of `scipy.integrate.solve_ivp(..., method="DOP853",
-    dense_output=True)` for a scalar `atol` and `rtol >= MIN_RTOL`: the same
-    initial step, stage sums, error norm and step-size control, and the same
-    extra stages and interpolant.  Steps, states, `nfev` and dense output are
-    bit-identical to SciPy's, and so is a failure: a step that would have to
-    be smaller than 10 ulps of t ends the integration with `success` False.
-    `_solve` looks this name up at call time, so it can be wrapped or replaced.
+    Each step expands f about its start to degree M = TAYLOR_ORDER and takes
+
+        h = 1/2 min over k in {M - 1, M} of (tol / (k (k - 1) |f_k|))^(1 / (k - 2)),
+
+    with tol = atol + rtol max|y|: the last two terms then change f'' by at
+    most tol / 2^(k-2) each, and f and f' by less.  The arithmetic is on
+    Python floats, which overflow to inf or NaN without a warning; a pass
+    that blows up, so that a coefficient is not finite or h falls below 10
+    ulps of eta, raises ShootingError.  `shoot` and `integrate` look this
+    name up at call time, so it can be wrapped or replaced.
     """
-    tab = dop853_tableau()
-    t, t_bound = map(float, t_span)
-    if not t < t_bound:
-        raise ValueError(f"need t_span[0] < t_span[1], got {t_span!r}")
-    y = np.asarray(y0, dtype=float)
-    nfev = 0
-
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
-    K_ext = np.empty((tab.D.shape[1], y.size))
-    K = K_ext[: len(tab.B) + 1]
+    t, y = 0.0, (1.0, 0.0, float(s))
     ts, ys, polys = [t], [y], []
-    while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return IvpResult(np.array(ts), np.vstack(ys).T, None, nfev, False, TOO_SMALL_STEP)
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            _stages(rhs, t, y, h, tab.A[1:], tab.C[1:], K, 1)
-            y_new = y + h * np.dot(K[:-1].T, tab.B)
-            f_new = K[-1] = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(tab, K, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-            rejected = True
-        polys.append(_dense_coefficients(rhs, tab, K_ext, t, y, y_new, f_new, h))
-        t, y, f = t_new, y_new, f_new
+    while t < 1.0:
+        coeffs = _taylor_coefficients(problem, y)
+        tol = float(atol + rtol * max(map(abs, y)))
+        h = 0.5 * min(
+            (tol / (k * (k - 1) * abs(coeffs[k]))) ** (1.0 / (k - 2)) if coeffs[k] else math.inf
+            for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER)
+        )
+        if not (all(map(math.isfinite, coeffs)) and h >= 10 * math.ulp(t)):
+            raise ShootingError(f"integration failed near eta = {t}: the solution blows up")
+        t_new = min(t + h, 1.0)
+        t, y = t_new, _taylor_states(coeffs, t_new - t)
         ts.append(t)
         ys.append(y)
-    ts = np.array(ts)
-    trajectory = DenseTrajectory(ts, np.array(ys[:-1]), np.array(polys))
-    return IvpResult(ts, np.vstack(ys).T, trajectory, nfev, True, REACHED_END)
-
-
-def _solve(problem: JhProblem, s: float, rtol: float, atol: float) -> IvpResult:
-    """One DOP853 pass from (1, 0, s) over [0, 1], keeping its continuous extension."""
-    sol = solve_ivp(
-        lambda _t, y: ivp_rhs(problem, y), (0.0, 1.0), [1.0, 0.0, s], rtol=rtol, atol=atol
-    )
-    if not sol.success:
-        raise ShootingError(f"integration failed near eta = {sol.t[-1]}: {sol.message}")
-    return sol
+        polys.append(coeffs)
+    return IvpResult(np.array(ys).T, DenseTrajectory(np.array(ts), np.array(polys)), len(polys))
 
 
 def _sample(trajectory: DenseTrajectory, n_dense: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,18 +176,17 @@ def integrate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the IVP with initial curvature s over eta in [0, 1].
 
-    Uses DOP853, an adaptive 8th-order embedded Runge-Kutta scheme (see
-    `solve_ivp`); the trajectory is reported on a uniform dense grid of
-    `n_dense` points via the integrator's continuous extension.
+    Uses the Taylor-series method of `solve_ivp`; the trajectory is reported
+    on a uniform dense grid of `n_dense` points via its step polynomials.
 
     Returns
     -------
     (grid, states)
         `grid` has n_dense uniform samples; `states` is (n_dense, 3) holding
-        (y0, y1, y2) per sample.
+        (f, f', f'') per sample.
     """
     _check_settings(rtol, atol, n_dense)
-    return _sample(_solve(problem, s, rtol, atol).sol, n_dense)
+    return _sample(solve_ivp(problem, s, rtol, atol).sol, n_dense)
 
 
 @dataclass(frozen=True)
@@ -346,47 +215,41 @@ def shoot(
     atol: float = DEFAULT_ATOL,
     n_dense: int = DEFAULT_DENSE_POINTS,
 ) -> ReferenceSolution:
-    """Find s with y0(1; s) = 0 by secant iteration and return the trajectory.
+    """Find s with f(1; s) = 0 by secant iteration and return the trajectory.
 
     Starts from s = -2 (the Poiseuille value) and s = -2.5; fails with the
     iteration history attached if 50 secant steps cannot reach `end_tol`.
-    The returned trajectory is the secant pass with the smallest |y0(1)|.
+    The returned trajectory is the secant pass with the smallest |f(1)|.
     A root whose sampled f falls below -NEGATIVE_F_TOL is refused with
     ShootingError too: it lies on a branch with reverse flow.
     """
     check_end_tol(end_tol)
     _check_settings(rtol, atol, n_dense)
+    history = []  # (s, f(1; s)) of every pass
+    best = None  # (|f(1)|, s, trajectory) of the first pass with the smallest |f(1)|
 
     def end_value(s):
-        sol = _solve(problem, s, rtol, atol)
-        return float(sol.y[0, -1]), sol.sol
+        nonlocal best
+        sol = solve_ivp(problem, s, rtol, atol)
+        g = float(sol.y[0, -1])
+        history.append((s, g))
+        if best is None or abs(g) < best[0]:
+            best = (abs(g), s, sol.sol)
+        return g
 
     s_prev, s_curr = -2.0, -2.5
-    g_prev, traj_prev = end_value(s_prev)
-    g_curr, traj_curr = end_value(s_curr)
-    history = [(s_prev, g_prev), (s_curr, g_curr)]
-    if abs(g_prev) <= abs(g_curr):
-        best_s, best_g, trajectory = s_prev, g_prev, traj_prev
-    else:
-        best_s, best_g, trajectory = s_curr, g_curr, traj_curr
+    g_prev, g_curr = end_value(s_prev), end_value(s_curr)
     # Polish well below end_tol so the reported trajectory is limited by
     # integration error, not by the secant stopping point.
-    target = end_tol * 1e-2
     for _ in range(50):
-        if abs(best_g) <= target:
-            break
-        if g_curr == g_prev:
+        if best[0] <= end_tol * 1e-2 or g_curr == g_prev:
             break
         s_next = s_curr - g_curr * (s_curr - s_prev) / (g_curr - g_prev)
-        g_next, traj_next = end_value(s_next)
-        history.append((s_next, g_next))
-        s_prev, g_prev, s_curr, g_curr = s_curr, g_curr, s_next, g_next
-        if abs(g_next) < abs(best_g):
-            best_s, best_g, trajectory = s_next, g_next, traj_next
-    if abs(best_g) > end_tol:
+        s_prev, g_prev, s_curr, g_curr = s_curr, g_curr, s_next, end_value(s_next)
+    best_g, best_s, trajectory = best
+    if best_g > end_tol:
         raise ShootingError(
-            f"secant iteration stalled at |f(1)| = {abs(best_g):.3e} > {end_tol:.3e}",
-            history,
+            f"secant iteration stalled at |f(1)| = {best_g:.3e} > {end_tol:.3e}", history
         )
     grid, states = _sample(trajectory, n_dense)
     min_f = float(states[:, 0].min())

@@ -27,13 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib.machinery import (
-    EXTENSION_SUFFIXES,
-    SOURCE_SUFFIXES,
-    ExtensionFileLoader,
-    FileFinder,
-    SourceFileLoader,
-)
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -160,18 +154,16 @@ class BandedMatrix:
 
 
 def load_scipy_module(name: str):
-    """Load the module `scipy.<name>` from its file without running any package init.
+    """Load the compiled extension `scipy.<name>` without running any package init.
 
-    `name` is dotted below `scipy`, e.g. "linalg._flapack" (a compiled
-    extension) or "integrate._ivp.dop853_coefficients" (a source file).
-    Returns the module, or None when SciPy has no such file or the module
-    cannot be loaded on its own; a module that is already imported is
-    returned as it is.  `find_spec("scipy")` and the `FileFinder` only look
-    at the file system.  CPython enters a single-phase extension in
-    `sys.modules` as it loads it; the entry is taken out again, because a
-    later import of the package would find it there and skip binding it as
-    the package's attribute.  That import then loads the file normally and
-    gets the same code and data.
+    `name` is dotted below `scipy`, e.g. "linalg._flapack".  Returns the
+    module, or None when SciPy has no such extension or it cannot be loaded
+    on its own; a module that is already imported is returned as it is.
+    `find_spec("scipy")` and the `FileFinder` only look at the file system.
+    CPython enters a single-phase extension in `sys.modules` as it loads it;
+    the entry is taken out again, because a later import of the package
+    would find it there and skip binding it as the package's attribute.
+    That import then loads the file normally and gets the same code and data.
     """
     fullname = f"scipy.{name}"
     if fullname in sys.modules:
@@ -179,11 +171,8 @@ def load_scipy_module(name: str):
     scipy_spec = importlib.util.find_spec("scipy")
     locations = scipy_spec.submodule_search_locations if scipy_spec else None
     for location in locations or ():
-        spec = FileFinder(
-            os.path.join(location, *name.split(".")[:-1]),
-            (ExtensionFileLoader, EXTENSION_SUFFIXES),
-            (SourceFileLoader, SOURCE_SUFFIXES),
-        ).find_spec(fullname)
+        directory = os.path.join(location, *name.split(".")[:-1])
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(fullname)
         if spec is not None:
             break
     else:
@@ -215,13 +204,13 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
 
     `dgbsv` comes from SciPy's compiled LAPACK extension, loaded directly on
     the first call.  `scipy.linalg.lapack` re-exports the same routines, but
-    importing `scipy.linalg` takes several times longer than a whole
-    non-shooting CLI command runs: its package init loads the array-API
-    shim, which imports `numpy.f2py`, `numpy.testing`, `numpy.random` and
-    `numpy.ma`.  When `scipy.linalg` is already imported, its extension is
-    used; when the extension cannot be loaded by itself, `scipy.linalg.lapack`
-    is imported instead.  Each runs the same routine, so the solution is
-    bit-identical either way.
+    importing `scipy.linalg` takes several times longer than a whole CLI
+    command runs: its package init loads the array-API shim, which imports
+    `numpy.f2py`, `numpy.testing`, `numpy.random` and `numpy.ma`.  When
+    `scipy.linalg` is already imported, its extension is used; when the
+    extension cannot be loaded by itself, `scipy.linalg.lapack` is imported
+    instead.  Each runs the same routine, so the solution is bit-identical
+    either way.
     """
     if b.shape[0] != a.n:
         raise ValueError("right-hand side length mismatch")

@@ -278,6 +278,17 @@ def test_convergence_writes_suffixed_reports(tmp_path, capsys):
     assert "slope_l2" in out  # summary goes to stdout when files carry the data
 
 
+def test_default_convergence_shows_optimal_rates(capsys):
+    # (Re, alpha) = (0, 15 deg), N = 20..320: the p = 4 errors fall to 1e-15,
+    # so the oracle must be exact to roundoff for the fit to see h^4
+    rc, out, _err = run_capture(capsys, ["convergence", "--output", "json"])
+    assert rc == 0
+    reports = json.loads(out)["reports"]
+    assert abs(reports["p3"]["slope_l2"] - 2.0) <= 0.1
+    assert abs(reports["p3"]["slope_h1"] - 2.0) <= 0.1
+    assert reports["p4"]["slope_l2"] >= 3.7
+
+
 def test_model_study_range_syntax(capsys):
     rc, out, err = run_capture(
         capsys,
@@ -390,7 +401,7 @@ def test_check_command_passes(capsys):
 # or scipy.linalg.  Prints one JSON line per command: argv, exit code, and
 # whether scipy.integrate and scipy.linalg were in sys.modules after the
 # command returned.  No command loads either: solves load LAPACK's compiled
-# extension by itself, and shooting reads DOP853's coefficient file.
+# extension by itself, and shooting integrates with its own Taylor method.
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 from wedgeflow import cli
