@@ -75,64 +75,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BandedMatrix",
-    "ConvergenceReport",
-    "DofMap",
-    "ElementFamily",
-    "ErrorNorms",
-    "FemSolution",
-    "FluidProps",
-    "GALERKIN",
-    "HERMITE",
-    "HIERARCHIC",
-    "JhProblem",
-    "LEAST_SQUARES",
-    "Mesh1D",
-    "ModelConfig",
-    "QuadratureRule",
-    "ReferenceSolution",
-    "ShapeEval",
-    "ShootingError",
-    "SingularMatrixError",
-    "SLOPE",
-    "SolverOptions",
-    "VALUE",
-    "WedgeFieldConfig",
-    "assemble_jacobian",
-    "assemble_model",
-    "assemble_residual",
-    "build_dofmap",
-    "build_mesh",
-    "compute_K",
-    "duality_pairing_check",
-    "error_norms",
-    "eval_family",
-    "eval_hermite",
-    "eval_hierarchic",
-    "evaluate_reference",
-    "exact_derivative",
-    "exact_pair",
-    "exact_solution",
-    "fit_rates",
-    "forcing",
-    "gauss_legendre",
-    "hermite_family",
-    "hierarchic_family",
-    "integrate",
-    "jh_constraints",
-    "main",
-    "make_report",
-    "model_constraints",
-    "model_convergence",
-    "newton_loop",
-    "newton_solve",
-    "poiseuille_guess",
-    "required_points",
-    "run",
-    "shoot",
-    "solve_banded",
-    "solve_model",
-    "wedge_fields",
-]

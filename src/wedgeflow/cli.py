@@ -69,9 +69,20 @@ def _problem(args) -> JhProblem:
     return JhProblem(args.re, math.radians(args.alpha_deg))
 
 
+class NotConverged(RuntimeError):
+    """Newton ended without converging; `run` reports it and exits 1."""
+
+
 def _fem_solve(problem: JhProblem, order: int, nelem: int, opts: SolverOptions):
-    """`newton_solve` on a uniform Hermite mesh; a `roundoff` stop gets a note on stderr."""
+    """`newton_solve` on a uniform Hermite mesh; a `roundoff` stop gets a note on
+    stderr, and a solve that does not converge raises `NotConverged`."""
     fem = newton_solve(problem, build_mesh(nelem), hermite_family(order), opts)
+    if not fem.converged:
+        history = "".join(f"\n  iter {i}: {rn:.3e}" for i, rn in enumerate(fem.norm_history))
+        raise NotConverged(
+            f"newton iteration did not converge at p={order}, N={nelem} "
+            f"(stop reason: {fem.stop_reason}); residual-norm history:{history}"
+        )
     if fem.stop_reason == "roundoff":
         print(
             "note: newton stopped on roundoff-level steps (stop reason: roundoff) "
@@ -82,22 +93,6 @@ def _fem_solve(problem: JhProblem, order: int, nelem: int, opts: SolverOptions):
     return fem
 
 
-def _solve_case(args):
-    problem = _problem(args)
-    return problem, _fem_solve(problem, args.order, args.nelem, args.opts)
-
-
-def _report_nonconvergence(fem) -> int:
-    print(
-        f"newton iteration did not converge (stop reason: {fem.stop_reason}); "
-        "residual-norm history:",
-        file=sys.stderr,
-    )
-    for i, rn in enumerate(fem.norm_history):
-        print(f"  iter {i}: {rn:.3e}", file=sys.stderr)
-    return 1
-
-
 def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -105,22 +100,20 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# JSON key of each setting "config" echoes, by argparse attribute, in output order
+CONFIG_KEYS = {
+    "re": "re", "alpha_deg": "alpha_deg", "order": "order", "nelem": "n_elem",
+    "newton_tol": "newton_tol", "shoot_tol": "shoot_tol", "output": "output",
+    "out": "out_path", "orders": "orders", "nelems": "nelems", "formulation": "formulation",
+}
+
+
 def _json_text(args, **body) -> str:
-    """One JSON document: the run's settings under "config", then `body`."""
-    config = {
-        "command": args.command,
-        "re": args.re,
-        "alpha_deg": args.alpha_deg,
-        "order": args.order,
-        "n_elem": args.nelem,
-        "newton_tol": args.newton_tol,
-        "shoot_tol": args.shoot_tol,
-        "output": args.output,
-        "out_path": args.out,
-    }
-    for name in ("orders", "nelems", "formulation"):  # the study settings
-        if hasattr(args, name):
-            config[name] = getattr(args, name)
+    """One JSON document: the settings the command takes under "config", then `body`."""
+    config = {"command": args.command}
+    for attr, key in CONFIG_KEYS.items():
+        if hasattr(args, attr):
+            config[key] = getattr(args, attr)
     return json.dumps({"config": config, **body}, indent=2) + "\n"
 
 
@@ -141,9 +134,8 @@ def _rows_text(header: list[str], rows: list[list], args) -> str:
 
 
 def cmd_solve(args) -> int:
-    problem, fem = _solve_case(args)
-    if not fem.converged:
-        return _report_nonconvergence(fem)
+    problem = _problem(args)
+    fem = _fem_solve(problem, args.order, args.nelem, args.opts)
     fp1 = fem.fp_right()
     k_val = compute_K(problem, fp1)
     header = [
@@ -198,9 +190,7 @@ def cmd_table(args) -> int:
     n_rows = round(n_steps)
     if abs(n_steps - n_rows) > 1e-9 * n_steps:
         return _usage_error(f"--eta-step must divide 1 into whole steps, got {args.eta_step}")
-    problem, fem = _solve_case(args)
-    if not fem.converged:
-        return _report_nonconvergence(fem)
+    fem = _fem_solve(_problem(args), args.order, args.nelem, args.opts)
     etas = np.linspace(0.0, 1.0, n_rows + 1)
     f_vals = fem.evaluate(etas)[0]
     header = ["eta", "f"]
@@ -258,10 +248,6 @@ def cmd_convergence(args) -> int:
         rows = []
         for n in nelems:
             fem = _fem_solve(problem, p, n, args.opts)
-            if not fem.converged:
-                raise SingularMatrixError(
-                    f"no convergence at p={p}, N={n}: residual {fem.final_residual_norm:.3e}"
-                )
             rows.append(error_norms(fem, ref, gauss_legendre(min(16, p + 4))))
         reports.append(make_report(f"re{args.re}_alpha{args.alpha_deg}", p, rows))
     return _emit_reports(reports, [f"p{p}" for p in orders], args)
@@ -285,8 +271,6 @@ def cmd_fields(args) -> int:
     fluid = FluidProps(nu=args.nu, rho=args.rho)
     problem = JhProblem(args.re, math.radians(args.alpha_deg), fluid)
     fem = _fem_solve(problem, args.order, args.nelem, args.opts)
-    if not fem.converged:
-        return _report_nonconvergence(fem)
     k_val = compute_K(problem, fem.fp_right())
     cfg = WedgeFieldConfig(
         problem=problem, fluid=fluid, p_star=args.pin, K=k_val, lam=problem.lam
@@ -350,8 +334,11 @@ def cmd_check(args) -> int:
     report("jacobian finite differences", worst < 1e-6, f"max deviation {worst:.2e}")
 
     # duality identity on a converged solve
-    fem = _fem_solve(problem, args.order, args.nelem, args.opts)
-    if fem.converged:
+    try:
+        fem = _fem_solve(problem, args.order, args.nelem, args.opts)
+    except NotConverged:
+        report("duality pairing identity", False, "solve did not converge")
+    else:
         lhs, rhs, diff = duality_pairing_check(fem, problem)
         report("duality pairing identity", abs(diff) <= 1e-9, f"|lhs - rhs| = {abs(diff):.2e}")
         bc_ok = all(
@@ -359,8 +346,6 @@ def cmd_check(args) -> int:
             for (kind, side), value in jh_constraints().items()
         )
         report("boundary conditions", bc_ok, "direct DOF reads")
-    else:
-        report("duality pairing identity", False, "solve did not converge")
     return 1 if failures else 0
 
 
@@ -371,46 +356,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, nelem_default=320, order_default=4):
-        sp.add_argument("--re", type=float, default=0.0, help="Reynolds number")
-        sp.add_argument("--alpha-deg", type=float, default=15.0, help="half-angle in degrees")
-        sp.add_argument("--order", type=int, default=order_default)
-        sp.add_argument("--nelem", type=int, default=nelem_default)
-        sp.add_argument("--newton-tol", type=float, default=1e-12)
-        sp.add_argument("--shoot-tol", type=float, default=1e-13)
-        sp.add_argument("--output", choices=("csv", "json", "pretty"), default="pretty")
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
+    def add_command(name, func, summary, groups, **defaults):
+        """A subcommand taking the flag groups its command function reads.  Flags
+        are never abbreviated, so `--order` and `--nelem` cannot stand for the
+        studies' `--orders` and `--nelems`."""
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if "case" in groups:
+            sp.add_argument("--re", type=float, default=0.0, help="Reynolds number")
+            sp.add_argument("--alpha-deg", type=float, default=15.0, help="half-angle in degrees")
+        if "mesh" in groups:
+            sp.add_argument("--order", type=int, default=4)
+            sp.add_argument("--nelem", type=int, default=320)
+        if "newton-tol" in groups:
+            sp.add_argument("--newton-tol", type=float, default=1e-12)
+        if "shoot-tol" in groups:
+            sp.add_argument("--shoot-tol", type=float, default=1e-13)
+        if "output" in groups:
+            sp.add_argument("--output", choices=("csv", "json", "pretty"), default="pretty")
+            sp.add_argument("--out", default=None, help="output path (default: stdout)")
+        sp.set_defaults(func=func, **defaults)
+        return sp
 
-    sp = sub.add_parser("solve", help="solve one case; print DOF summary, f'(1), K")
-    add_common(sp)
-    sp.set_defaults(func=cmd_solve)
+    solve_groups = ("case", "mesh", "newton-tol", "output")
+    add_command("solve", cmd_solve, "solve one case; print DOF summary, f'(1), K", solve_groups)
 
-    sp = sub.add_parser("reference", help="write the dense shooting trajectory")
-    add_common(sp)
-    sp.set_defaults(func=cmd_reference, output="csv")
+    add_command(
+        "reference", cmd_reference, "write the dense shooting trajectory",
+        ("case", "shoot-tol", "output"), output="csv",
+    )
 
-    sp = sub.add_parser("table", help="tabulate f(eta) on a uniform eta grid")
-    add_common(sp)
+    sp = add_command("table", cmd_table, "tabulate f(eta) on a uniform eta grid", solve_groups)
     sp.add_argument("--eta-step", type=float, default=0.1)
-    sp.set_defaults(func=cmd_table)
 
-    sp = sub.add_parser("convergence", help="mesh-refinement study against the oracle")
-    add_common(sp)
+    sp = add_command(
+        "convergence", cmd_convergence, "mesh-refinement study against the oracle",
+        ("case", "newton-tol", "shoot-tol", "output"),
+    )
     sp.add_argument("--orders", default="3,4")
     sp.add_argument("--nelems", default="20,40,80,160,320")
-    sp.set_defaults(func=cmd_convergence)
 
-    sp = sub.add_parser("model", help="first-order model problem study")
-    add_common(sp, nelem_default=128, order_default=1)
+    sp = add_command("model", cmd_model, "first-order model problem study", ("newton-tol", "output"))
     sp.add_argument("--orders", default="1..5")
     sp.add_argument("--nelems", default="8,16,32,64,128")
     sp.add_argument(
         "--formulation", choices=("galerkin", "least-squares"), default="galerkin"
     )
-    sp.set_defaults(func=cmd_model)
 
-    sp = sub.add_parser("fields", help="export (r, theta, u_r, p) wedge samples")
-    add_common(sp)
+    sp = add_command("fields", cmd_fields, "export (r, theta, u_r, p) wedge samples", solve_groups)
     sp.add_argument("--r1", type=float, required=True)
     sp.add_argument("--r2", type=float, required=True)
     sp.add_argument("--nr", type=int, required=True)
@@ -418,11 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=float, required=True, help="kinematic viscosity")
     sp.add_argument("--rho", type=float, required=True, help="density")
     sp.add_argument("--pin", type=float, default=0.0, help="pinned pressure constant p*")
-    sp.set_defaults(func=cmd_fields)
 
-    sp = sub.add_parser("check", help="run the invariant suite")
-    add_common(sp, nelem_default=40)
-    sp.set_defaults(func=cmd_check)
+    add_command(
+        "check", cmd_check, "run the invariant suite", ("case", "mesh", "newton-tol"), nelem=40
+    )
 
     return parser
 
@@ -433,17 +424,20 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # each check applies to the commands that take the flag
     if hasattr(args, "alpha_deg") and not (0.0 < args.alpha_deg < 90.0):
         return _usage_error(f"alpha-deg must lie in (0, 90), got {args.alpha_deg}")
-    if hasattr(args, "order") and args.command not in ("model",) and args.order not in (3, 4, 5):
+    if hasattr(args, "order") and args.order not in (3, 4, 5):
         return _usage_error(f"order must be 3, 4, or 5 for Hermite solves, got {args.order}")
     if hasattr(args, "nelem") and args.nelem < 1:
         return _usage_error("nelem must be positive")
     try:
-        args.opts = SolverOptions(tol=args.newton_tol)  # a bad --newton-tol exits 2 here
-        check_end_tol(args.shoot_tol)  # and so does a bad --shoot-tol
+        if hasattr(args, "newton_tol"):
+            args.opts = SolverOptions(tol=args.newton_tol)  # a bad --newton-tol exits 2 here
+        if hasattr(args, "shoot_tol"):
+            check_end_tol(args.shoot_tol)  # and so does a bad --shoot-tol
         return args.func(args)
-    except (ShootingError, SingularMatrixError) as exc:
+    except (NotConverged, ShootingError, SingularMatrixError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

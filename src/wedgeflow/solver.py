@@ -44,19 +44,19 @@ class SingularMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class FluidProps:
-    """Dimensional fluid constants; mu defaults to rho * nu."""
+    """Dimensional fluid constants: kinematic viscosity nu and density rho."""
 
     nu: float
     rho: float
-    mu: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.nu < np.inf and 0.0 < self.rho < np.inf):  # false for NaN too
             raise ValueError(f"nu and rho must be positive and finite, got {self.nu}, {self.rho}")
-        if self.mu is None:
-            object.__setattr__(self, "mu", self.rho * self.nu)
-        elif not abs(self.mu - self.rho * self.nu) <= 1e-14 * self.rho * self.nu:
-            raise ValueError("mu must equal rho * nu")
+
+    @property
+    def mu(self) -> float:
+        """Dynamic viscosity rho * nu."""
+        return self.rho * self.nu
 
 
 @dataclass(frozen=True)
@@ -539,7 +539,9 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
         extended = extended or not far
         x64 = coeffs.astype(np.float64)
         res, rnorm = evaluate(coeffs if extended else x64)
-        if not extended and (rnorm <= opts.tol or iters >= opts.max_iter or at_roundoff):
+        # a roundoff stop needs no check here: its step, at most ROUNDOFF_STEP * scale,
+        # is not `far`, so `extended` is already set
+        if not extended and (rnorm <= opts.tol or iters >= opts.max_iter):
             extended = True
             res, rnorm = evaluate(coeffs)
         history.append(rnorm)

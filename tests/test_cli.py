@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,12 +82,10 @@ def test_bad_arguments_exit_two(capsys, argv):
         assert "--eta-step" in err
 
 
-def test_nonconvergence_exits_one(capsys, monkeypatch):
-    mesh = wf.build_mesh(4)
-    family = wf.hermite_family(3)
-    fake = wf.FemSolution(
-        mesh=mesh,
-        family=family,
+def _unconverged_solution():
+    return wf.FemSolution(
+        mesh=wf.build_mesh(4),
+        family=wf.hermite_family(3),
         coeffs=np.zeros(10),
         converged=False,
         newton_iters=2,
@@ -94,12 +93,74 @@ def test_nonconvergence_exits_one(capsys, monkeypatch):
         norm_history=(1.0, 0.5),
         stop_reason="stagnated",
     )
-    monkeypatch.setattr(cli, "newton_solve", lambda *a, **k: fake)
-    rc, _out, err = run_capture(capsys, ["solve", "--re", "30", "--nelem", "4", "--order", "3"])
+
+
+def test_nonconvergence_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "newton_solve", lambda *a, **k: _unconverged_solution())
+    case = ["--re", "30", "--nelem", "4", "--order", "3"]
+    for argv in (
+        ["solve", *case],
+        ["table", *case],
+        ["fields", *case, "--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3",
+         "--nu", "1e-3", "--rho", "1.0"],
+        ["convergence", "--re", "30", "--orders", "3", "--nelems", "4,8,16"],
+    ):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 1 and out == "", argv
+        first, *history = err.splitlines()
+        assert "did not converge at p=3, N=4" in first, argv
+        assert "stop reason: stagnated" in first, argv
+        assert history == ["  iter 0: 1.000e+00", "  iter 1: 5.000e-01"], argv
+
+
+def test_check_reports_failed_solve(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "newton_solve", lambda *a, **k: _unconverged_solution())
+    rc, out, _err = run_capture(capsys, ["check", "--re", "30", "--nelem", "4", "--order", "3"])
     assert rc == 1
-    assert "did not converge" in err
-    assert "stop reason: stagnated" in err
-    assert "iter 0" in err
+    assert out.splitlines()[-1] == "FAIL duality pairing identity: solve did not converge"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--re", "30"],
+        ["model", "--shoot-tol", "1e-13"],
+        ["reference", "--order", "4"],
+        ["reference", "--newton-tol", "1e-12"],
+        ["convergence", "--nelem", "40"],
+        ["solve", "--shoot-tol", "1e-13"],
+        ["check", "--out", "PATH"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "out.txt"
+    rc, out, err = run_capture(capsys, [str(path) if a == "PATH" else a for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert not path.exists()
+
+
+SOLVE_FLAGS = {"--re", "--alpha-deg", "--order", "--nelem", "--newton-tol", "--output", "--out"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("solve", SOLVE_FLAGS),
+        ("reference", {"--re", "--alpha-deg", "--shoot-tol", "--output", "--out"}),
+        ("table", SOLVE_FLAGS | {"--eta-step"}),
+        ("convergence", {"--re", "--alpha-deg", "--newton-tol", "--shoot-tol", "--output",
+                         "--out", "--orders", "--nelems"}),
+        ("model", {"--newton-tol", "--output", "--out", "--orders", "--nelems", "--formulation"}),
+        ("fields", SOLVE_FLAGS | {"--r1", "--r2", "--nr", "--ntheta", "--nu", "--rho", "--pin"}),
+        ("check", {"--re", "--alpha-deg", "--order", "--nelem", "--newton-tol"}),
+    ],
+)
+def test_help_lists_the_flags_each_command_reads(capsys, command, flags):
+    rc, out, _err = run_capture(capsys, [command, "--help"])
+    assert rc == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out)) == flags | {"--help"}
 
 
 # ------------------------------------------------------------------- solve
@@ -174,9 +235,6 @@ def test_reference_json_config_echo(capsys):
         ("command", "reference"),
         ("re", 30.0),
         ("alpha_deg", 15.0),
-        ("order", 4),
-        ("n_elem", 320),
-        ("newton_tol", 1e-12),
         ("shoot_tol", 1e-13),
         ("output", "json"),
         ("out_path", None),

@@ -182,9 +182,6 @@ def test_add_elements_rejects_out_of_band():
 def test_fluid_props():
     fl = wf.FluidProps(nu=1e-3, rho=1000.0)
     assert fl.mu == pytest.approx(1.0, abs=0)
-    wf.FluidProps(nu=2.0, rho=3.0, mu=6.0)
-    with pytest.raises(ValueError):
-        wf.FluidProps(nu=2.0, rho=3.0, mu=5.0)
     with pytest.raises(ValueError):
         wf.FluidProps(nu=-1.0, rho=1.0)
 
@@ -208,8 +205,6 @@ def test_fluid_props_rejects_non_positive_or_non_finite(bad):
     for kwargs in ({"nu": bad, "rho": 1.0}, {"nu": 1.0, "rho": bad}):
         with pytest.raises(ValueError):
             wf.FluidProps(**kwargs)
-    with pytest.raises(ValueError):
-        wf.FluidProps(nu=1.0, rho=1.0, mu=bad)
 
 
 def test_problem_validation():
