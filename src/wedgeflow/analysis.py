@@ -13,6 +13,8 @@ from .quadrature import QuadratureRule, gauss_legendre
 from .shooting import ReferenceSolution, evaluate_reference
 from .solver import FemSolution, FluidProps, JhProblem, quadrature_fields
 
+RATE_WINDOW = 4  # convergence slopes are fitted over this many of the finest meshes
+
 
 @dataclass(frozen=True)
 class ErrorNorms:
@@ -51,7 +53,7 @@ def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
     if rule.exactness < 2 * p + 4:
         raise ValueError(f"rule exactness {rule.exactness} below 2p + 4 = {2 * p + 4}")
     evaluator = _reference_evaluator(ref)
-    n = fem.mesh.n_elem
+    n = fem.dofmap.n_elem
     h = 1.0 / n
     _, (fh, fph) = quadrature_fields(fem.dofmap, fem.coeffs, rule, h)
     x = (np.arange(n)[:, None] + rule.points[None, :]) * h
@@ -64,8 +66,8 @@ def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
     return ErrorNorms(l2=math.sqrt(e2), h1=math.sqrt(e2 + d2), n_elem=n, degree=p)
 
 
-def fit_rates(rows, window: int = 4) -> tuple[float, float]:
-    """Fit log-log convergence slopes over the finest `window` meshes.
+def fit_rates(rows) -> tuple[float, float]:
+    """Fit log-log convergence slopes over the finest RATE_WINDOW meshes.
 
     Rows with an exactly zero error are excluded (with a warning) because the
     corresponding rate is undefined.
@@ -78,7 +80,7 @@ def fit_rates(rows, window: int = 4) -> tuple[float, float]:
         keep = [(r.n_elem, e) for r, e in zip(rows, errs) if e > 0.0]
         if len(keep) < len(rows):
             warnings.warn("zero error rows excluded from rate fit", stacklevel=2)
-        keep = keep[-window:]
+        keep = keep[-RATE_WINDOW:]
         if len(keep) < 2:
             raise ValueError("not enough nonzero errors to fit a rate")
         ns = np.array([k[0] for k in keep], dtype=float)
@@ -164,7 +166,7 @@ def duality_pairing_check(fem: FemSolution, problem: JhProblem) -> tuple[float, 
         raise ValueError("identity check requires the Hermite family")
     p = fem.family.degree
     rule = gauss_legendre(math.ceil((3 * p + 1) / 2))
-    n = fem.mesh.n_elem
+    n = fem.dofmap.n_elem
     h = 1.0 / n
     _, (f, fp, fpp) = quadrature_fields(fem.dofmap, fem.coeffs, rule, h, n_derivs=2)
     c = 2.0 * problem.reynolds * problem.alpha

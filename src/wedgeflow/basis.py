@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -10,9 +11,6 @@ from numpy.polynomial import polynomial as nppoly
 
 HERMITE = "hermite_c1"
 HIERARCHIC = "hierarchic_c0"
-
-_HERMITE_DEGREES = (3, 4, 5)
-_HIERARCHIC_DEGREES = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -22,23 +20,22 @@ class ElementFamily:
     kind: str
     degree: int
 
+    #: Each kind's supported degrees, and the DOFs of one mesh node: a C1
+    #: Hermite node carries a value and a slope, a C0 hierarchic node a value.
+    DEGREES: ClassVar[dict] = {HERMITE: (3, 4, 5), HIERARCHIC: (1, 2, 3, 4, 5)}
+    PER_NODE: ClassVar[dict] = {HERMITE: 2, HIERARCHIC: 1}
+
     def __post_init__(self):
-        if self.kind == HERMITE:
-            if self.degree not in _HERMITE_DEGREES:
-                raise ValueError(
-                    f"Hermite family supports p in {_HERMITE_DEGREES}, got {self.degree}"
-                )
-        elif self.kind == HIERARCHIC:
-            if self.degree not in _HIERARCHIC_DEGREES:
-                raise ValueError(
-                    f"hierarchic family supports p in {_HIERARCHIC_DEGREES}, got {self.degree}"
-                )
-        else:
+        if self.kind not in self.DEGREES:
             raise ValueError(f"unknown element kind {self.kind!r}")
+        if self.degree not in self.DEGREES[self.kind]:
+            raise ValueError(
+                f"{self.kind} family supports p in {self.DEGREES[self.kind]}, got {self.degree}"
+            )
 
     @property
-    def n_funcs(self) -> int:
-        return self.degree + 1
+    def per_node(self) -> int:
+        return self.PER_NODE[self.kind]
 
 
 def hermite_family(p: int) -> ElementFamily:
@@ -92,20 +89,12 @@ def eval_hermite(p: int, t) -> ShapeEval:
     t : float or array_like
         Reference coordinates in [0, 1].
     """
-    if p not in _HERMITE_DEGREES:
-        raise ValueError(f"Hermite family supports p in {_HERMITE_DEGREES}, got {p}")
+    ElementFamily(HERMITE, p)  # rejects an unsupported p
     t = np.atleast_1d(np.asarray(t))
     if not np.issubdtype(t.dtype, np.floating):
         t = t.astype(float)
-    coeffs = _HERMITE_COEFFS[: p + 1].astype(t.dtype, copy=False)
-    vals = np.empty((p + 1, t.size), dtype=t.dtype)
-    d1 = np.empty_like(vals)
-    d2 = np.empty_like(vals)
-    for i in range(p + 1):
-        c = coeffs[i]
-        vals[i] = nppoly.polyval(t, c)
-        d1[i] = nppoly.polyval(t, nppoly.polyder(c))
-        d2[i] = nppoly.polyval(t, nppoly.polyder(c, 2))
+    coeffs = _HERMITE_COEFFS[: p + 1].T.astype(t.dtype)  # column i: function i
+    vals, d1, d2 = (nppoly.polyval(t, nppoly.polyder(coeffs, m)) for m in range(3))
     return ShapeEval(vals, d1, d2)
 
 
@@ -117,8 +106,7 @@ def eval_hierarchic(p: int, t) -> ShapeEval:
     (P_{k-2}(2t-1) - P_k(2t-1)) / (2k - 1), signed so the quadratic bubble is
     positive with its maximum at t = 0.5; every bubble vanishes at t=0 and t=1.
     """
-    if p not in _HIERARCHIC_DEGREES:
-        raise ValueError(f"hierarchic family supports p in {_HIERARCHIC_DEGREES}, got {p}")
+    ElementFamily(HIERARCHIC, p)  # rejects an unsupported p
     t = np.atleast_1d(np.asarray(t))
     if not np.issubdtype(t.dtype, np.floating):
         t = t.astype(float)

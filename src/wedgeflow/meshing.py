@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .basis import HERMITE, ElementFamily
+from .basis import ElementFamily
 
 #: Constraint keys are (kind, side) with kind in {"value", "slope"} and side in
 #: {0, 1} for the left/right domain endpoint; values are the prescribed data.
@@ -45,14 +45,16 @@ class DofMap:
     element, ending with the last node's DOFs.  Each row of `element_dofs` is
     therefore one contiguous index range, in the family's local order (left
     node, right node, bubbles), and the half-bandwidth equals the degree p.
-    `constraints` maps global DOF index to its prescribed value.
+    `fixed` holds the prescribed global DOFs in ascending order and
+    `fixed_values` their values; both are read-only.
     """
 
     family: ElementFamily
     element_dofs: np.ndarray
     n_global: int
     half_bandwidth: int
-    constraints: dict = field(default_factory=dict)
+    fixed: np.ndarray
+    fixed_values: np.ndarray
 
     @property
     def n_elem(self) -> int:
@@ -75,19 +77,15 @@ class DofMap:
             out[col : col + span : stride] += local[:, a]
 
     def free_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_global, dtype=bool)
-        for i in self.constraints:
-            mask[i] = False
-        return mask
+        return np.isin(np.arange(self.n_global), self.fixed, invert=True)
 
     def endpoint(self, kind: str, side: int) -> int:
         """Global index of the `kind` DOF ("value" or "slope") at eta = `side`."""
-        col = _node_column(self.family, kind, side)
-        return int(self.element_dofs[-1 if side else 0, col])
+        return int(self.element_dofs[_node_index(self.family, kind, side)])
 
     def nodal_dofs(self, kind: str) -> np.ndarray:
         """Global indices of the `kind` DOF at every mesh node, left to right."""
-        left = self.element_dofs[:, _node_column(self.family, kind, 0)]
+        left = self.element_dofs[:, _node_index(self.family, kind, 0)[1]]
         return np.append(left, self.endpoint(kind, 1))
 
 
@@ -105,17 +103,16 @@ def column_slices(element_dofs: np.ndarray) -> tuple[list, int, int]:
     return element_dofs[0].tolist(), stride, stride * (n_elem - 1) + 1
 
 
-def _node_column(family: ElementFamily, kind: str, side: int) -> int:
-    """Local column of the `kind` DOF at the element's left (0) or right (1) node."""
+def _node_index(family: ElementFamily, kind: str, side: int) -> tuple[int, int]:
+    """(row, column) in `element_dofs` of the `kind` DOF at eta = `side`: the
+    left node of the first element (0) or the right node of the last (1)."""
     if side not in (0, 1):
         raise ValueError(f"constraint side must be 0 or 1, got {side!r}")
     if kind not in (VALUE, SLOPE):
         raise ValueError(f"constraint kind must be 'value' or 'slope', got {kind!r}")
-    if family.kind == HERMITE:
-        return 2 * side + (0 if kind == VALUE else 1)
-    if kind == SLOPE:
-        raise ValueError("hierarchic elements carry no slope DOFs to constrain")
-    return side
+    if kind == SLOPE and family.per_node == 1:
+        raise ValueError(f"{family} has no slope DOFs")
+    return -side, family.per_node * side + (kind == SLOPE)
 
 
 def build_dofmap(mesh: Mesh1D, family: ElementFamily, bcs: dict | None = None) -> DofMap:
@@ -135,18 +132,22 @@ def build_dofmap(mesh: Mesh1D, family: ElementFamily, bcs: dict | None = None) -
     """
     n = mesh.n_elem
     p = family.degree
-    per_node = 2 if family.kind == HERMITE else 1
+    per_node = family.per_node
     stride = p + 1 - per_node  # one node's DOFs plus one element's bubbles
     start = stride * np.arange(n, dtype=np.intp)[:, None]
     node = np.arange(per_node, dtype=np.intp)
     bubbles = np.arange(per_node, stride, dtype=np.intp)
     table = start + np.concatenate([node, stride + node, bubbles])
     half_bw = int(np.max(table.max(axis=1) - table.min(axis=1)))
-    table.setflags(write=False)
-    dofmap = DofMap(family, table, n * stride + per_node, half_bw)
-    for (kind, side), value in (bcs or {}).items():
-        dofmap.constraints[dofmap.endpoint(kind, side)] = float(value)
-    return dofmap
+    prescribed = {
+        int(table[_node_index(family, kind, side)]): float(value)
+        for (kind, side), value in (bcs or {}).items()
+    }
+    fixed = np.array(sorted(prescribed), dtype=np.intp)
+    fixed_values = np.array([prescribed[i] for i in fixed], dtype=np.float64)
+    for array in (table, fixed, fixed_values):
+        array.setflags(write=False)
+    return DofMap(family, table, n * stride + per_node, half_bw, fixed, fixed_values)
 
 
 def jh_constraints() -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import error_norms, make_report
-from .basis import eval_hierarchic, hierarchic_family
+from .basis import HIERARCHIC, ElementFamily, eval_hierarchic, hierarchic_family
 from .meshing import build_dofmap, build_mesh, model_constraints
 from .quadrature import gauss_legendre
 from .solver import BandedMatrix, FemSolution, SolverOptions, _reference_tables, basis_tables, newton_loop
@@ -42,8 +42,9 @@ class ModelConfig:
     formulation: str = GALERKIN
 
     def __post_init__(self):
-        if not 1 <= self.degree <= 5:
-            raise ValueError(f"degree must be in [1, 5], got {self.degree}")
+        degrees = ElementFamily.DEGREES[HIERARCHIC]
+        if self.degree not in degrees:
+            raise ValueError(f"degree must be in {degrees}, got {self.degree}")
         if self.n_elem < 1:
             raise ValueError(f"n_elem must be positive, got {self.n_elem}")
         if self.formulation not in (GALERKIN, LEAST_SQUARES):
@@ -113,20 +114,18 @@ def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolut
     mat, rhs = assemble_model(cfg, dofmap, rule)
     jac = BandedMatrix(mat.n, mat.k, dtype=np.float64)
     jac.data[:] = mat.data.astype(np.float64)
-    for i in dofmap.constraints:
+    for i in dofmap.fixed:
         jac.set_identity_row(i)
 
     def res_fn(c):
         out = mat.matvec(c) - rhs
-        for i, val in dofmap.constraints.items():
-            out[i] = c[i] - _LD(val)
+        out[dofmap.fixed] = c[dofmap.fixed] - dofmap.fixed_values.astype(_LD)
         return out
 
     coeffs0 = np.zeros(dofmap.n_global, dtype=_LD)
-    for i, val in dofmap.constraints.items():
-        coeffs0[i] = _LD(val)
+    coeffs0[dofmap.fixed] = dofmap.fixed_values
     result = newton_loop(res_fn, lambda _c: jac, coeffs0, dofmap.free_mask(), opts)
-    return FemSolution.from_newton(mesh, dofmap, result)
+    return FemSolution.from_newton(dofmap, result)
 
 
 def exact_pair(x):

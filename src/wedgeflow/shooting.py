@@ -31,7 +31,7 @@ import numpy as np
 
 from .solver import JhProblem, evaluate_on_unit_interval
 
-DEFAULT_DENSE_POINTS = 4097
+DENSE_POINTS = 4097
 DEFAULT_END_TOL = 1e-13
 DEFAULT_RTOL = 1e-13
 DEFAULT_ATOL = 1e-14
@@ -60,13 +60,11 @@ def check_end_tol(end_tol: float):
         )
 
 
-def _check_settings(rtol: float, atol: float, n_dense: int):
+def _check_settings(rtol: float, atol: float):
     if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):  # false for NaN too
         raise ValueError(f"tolerances must be positive and finite, got rtol={rtol!r}, atol={atol!r}")
     if rtol < MIN_RTOL:
         raise ValueError(f"rtol must be at least 100 eps = {MIN_RTOL:.3g}, got {rtol!r}")
-    if n_dense < 2:
-        raise ValueError("dense grid needs at least two points")
 
 
 #: Degree of each step's Taylor polynomial.
@@ -162,8 +160,8 @@ def solve_ivp(problem: JhProblem, s: float, rtol: float, atol: float) -> IvpResu
     return IvpResult(np.array(ys).T, DenseTrajectory(np.array(ts), np.array(polys)), len(polys))
 
 
-def _sample(trajectory: DenseTrajectory, n_dense: int) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.linspace(0.0, 1.0, n_dense)
+def _sample(trajectory: DenseTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    grid = np.linspace(0.0, 1.0, DENSE_POINTS)
     return grid, trajectory(grid).T.copy()
 
 
@@ -172,21 +170,20 @@ def integrate(
     s: float,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    n_dense: int = DEFAULT_DENSE_POINTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the IVP with initial curvature s over eta in [0, 1].
 
     Uses the Taylor-series method of `solve_ivp`; the trajectory is reported
-    on a uniform dense grid of `n_dense` points via its step polynomials.
+    on a uniform dense grid of DENSE_POINTS points via its step polynomials.
 
     Returns
     -------
     (grid, states)
-        `grid` has n_dense uniform samples; `states` is (n_dense, 3) holding
-        (f, f', f'') per sample.
+        `grid` has DENSE_POINTS uniform samples; `states` is
+        (DENSE_POINTS, 3) holding (f, f', f'') per sample.
     """
-    _check_settings(rtol, atol, n_dense)
-    return _sample(solve_ivp(problem, s, rtol, atol).sol, n_dense)
+    _check_settings(rtol, atol)
+    return _sample(solve_ivp(problem, s, rtol, atol).sol)
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,6 @@ def shoot(
     end_tol: float = DEFAULT_END_TOL,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    n_dense: int = DEFAULT_DENSE_POINTS,
 ) -> ReferenceSolution:
     """Find s with f(1; s) = 0 by secant iteration and return the trajectory.
 
@@ -224,7 +220,7 @@ def shoot(
     ShootingError too: it lies on a branch with reverse flow.
     """
     check_end_tol(end_tol)
-    _check_settings(rtol, atol, n_dense)
+    _check_settings(rtol, atol)
     history = []  # (s, f(1; s)) of every pass
     best = None  # (|f(1)|, s, trajectory) of the first pass with the smallest |f(1)|
 
@@ -251,7 +247,7 @@ def shoot(
         raise ShootingError(
             f"secant iteration stalled at |f(1)| = {best_g:.3e} > {end_tol:.3e}", history
         )
-    grid, states = _sample(trajectory, n_dense)
+    grid, states = _sample(trajectory)
     min_f = float(states[:, 0].min())
     if min_f < -NEGATIVE_F_TOL:
         raise ShootingError(

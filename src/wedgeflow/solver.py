@@ -32,7 +32,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .basis import HERMITE, ElementFamily, ShapeEval, eval_family
-from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, build_mesh, column_slices, jh_constraints
+from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, column_slices, jh_constraints
 from .quadrature import QuadratureRule, gauss_legendre, required_points
 
 _LD = np.longdouble
@@ -123,77 +123,67 @@ class BandedMatrix:
         self.data[2 * self.k + i - j, j] = 0.0
         self.data[2 * self.k, i] = 1.0
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.n, dtype=np.result_type(self.data, x))
-        for d in range(-self.k, self.k + 1):  # d = row - col
+    def _diagonals(self):
+        """(rows, cols, entries) of each diagonal d = row - col, d = -k..k,
+        that has an entry inside the matrix; rows and cols are slices."""
+        for d in range(-self.k, self.k + 1):
             j0 = max(0, -d)
             j1 = min(self.n, self.n - d)
-            if j0 >= j1:
-                continue
-            y[j0 + d : j1 + d] += self.data[2 * self.k + d, j0:j1] * x[j0:j1]
+            if j0 < j1:
+                yield slice(j0 + d, j1 + d), slice(j0, j1), self.data[2 * self.k + d, j0:j1]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.n, dtype=np.result_type(self.data, x))
+        for rows, cols, entries in self._diagonals():
+            y[rows] += entries * x[cols]
         return y
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=self.data.dtype)
-        for j in range(self.n):
-            i0 = max(0, j - self.k)
-            i1 = min(self.n, j + self.k + 1)
-            rows = np.arange(i0, i1)
-            a[rows, j] = self.data[2 * self.k + rows - j, j]
+        index = np.arange(self.n)
+        for rows, cols, entries in self._diagonals():
+            a[index[rows], index[cols]] = entries
         return a
 
     def inf_norm(self) -> float:
         rowsum = np.zeros(self.n, dtype=np.float64)
-        for d in range(-self.k, self.k + 1):
-            j0 = max(0, -d)
-            j1 = min(self.n, self.n - d)
-            if j0 >= j1:
-                continue
-            rowsum[j0 + d : j1 + d] += np.abs(self.data[2 * self.k + d, j0:j1]).astype(np.float64)
+        for rows, _cols, entries in self._diagonals():
+            rowsum[rows] += np.abs(entries).astype(np.float64)
         return float(rowsum.max()) if self.n else 0.0
-
-
-def load_scipy_module(name: str):
-    """Load the compiled extension `scipy.<name>` without running any package init.
-
-    `name` is dotted below `scipy`, e.g. "linalg._flapack".  Returns the
-    module, or None when SciPy has no such extension or it cannot be loaded
-    on its own; a module that is already imported is returned as it is.
-    `find_spec("scipy")` and the `FileFinder` only look at the file system.
-    CPython enters a single-phase extension in `sys.modules` as it loads it;
-    the entry is taken out again, because a later import of the package
-    would find it there and skip binding it as the package's attribute.
-    That import then loads the file normally and gets the same code and data.
-    """
-    fullname = f"scipy.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    scipy_spec = importlib.util.find_spec("scipy")
-    locations = scipy_spec.submodule_search_locations if scipy_spec else None
-    for location in locations or ():
-        directory = os.path.join(location, *name.split(".")[:-1])
-        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(fullname)
-        if spec is not None:
-            break
-    else:
-        return None
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except ImportError:  # e.g. its BLAS is found only through scipy's package init
-        return None
-    finally:
-        sys.modules.pop(fullname, None)
-    return module
 
 
 @lru_cache(maxsize=None)
 def _dgbsv():
-    """LAPACK `dgbsv`, loaded on the first banded solve (see `solve_banded`)."""
-    flapack = load_scipy_module("linalg._flapack")
-    if flapack is None:
-        from scipy.linalg import lapack as flapack
-    return flapack.dgbsv
+    """LAPACK `dgbsv`, loaded on the first banded solve (see `solve_banded`).
+
+    The compiled extension `scipy.linalg._flapack` is loaded from its file,
+    without running any package init: `find_spec("scipy")` and the
+    `FileFinder` only look at the file system.  CPython enters a
+    single-phase extension in `sys.modules` as it loads it; the entry is
+    taken out again, because a later import of `scipy.linalg` would find it
+    there and skip binding it as the package's attribute.  That import then
+    loads the file normally and gets the same code and data.  When the
+    extension is already imported, or cannot be loaded on its own,
+    `scipy.linalg.lapack` supplies the same `dgbsv`.
+    """
+    name = "scipy.linalg._flapack"
+    scipy_spec = None if name in sys.modules else importlib.util.find_spec("scipy")
+    for location in (scipy_spec and scipy_spec.submodule_search_locations) or ():
+        loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        spec = FileFinder(os.path.join(location, "linalg"), loaders).find_spec(name)
+        if spec is None:
+            continue
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dgbsv
+        except ImportError:  # e.g. its BLAS is found only through scipy's package init
+            break
+        finally:
+            sys.modules.pop(name, None)
+    from scipy.linalg import lapack
+
+    return lapack.dgbsv
 
 
 def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
@@ -236,9 +226,8 @@ def _slope_scale(family: ElementFamily, h, dtype) -> np.ndarray:
     only the 1/h and 1/h^2 chain factors.  Every other factor is 1.
     """
     scale = np.ones(family.degree + 1, dtype=dtype)
-    if family.kind == HERMITE:
-        scale[1] = h
-        scale[3] = h
+    if family.per_node == 2:  # a node's DOFs are (value, slope)
+        scale[1:4:2] = h
     return scale
 
 
@@ -349,8 +338,7 @@ def assemble_residual(
     dofmap.scatter_add(out, local)
     s1 = dofmap.endpoint(SLOPE, 1)
     out[s1] -= coeffs[s1]  # boundary term -f'(1) phi_i'(1)
-    for i, val in dofmap.constraints.items():
-        out[i] = coeffs[i] - scal(val)
+    out[dofmap.fixed] = coeffs[dofmap.fixed] - dofmap.fixed_values.astype(dtype)
     return out
 
 
@@ -382,7 +370,7 @@ def assemble_jacobian(
     mat.add_elements(dofmap.element_dofs, local.reshape(n, m, m))
     s1 = dofmap.endpoint(SLOPE, 1)
     mat.add_at(np.array([s1]), np.array([s1]), np.array([-1.0]))
-    for i in dofmap.constraints:
+    for i in dofmap.fixed:
         mat.set_identity_row(i)
     return mat
 
@@ -404,10 +392,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class FemSolution:
-    """A (possibly non-converged) discrete solution with Newton diagnostics."""
+    """A (possibly non-converged) solution on the `dofmap` of its solve, with Newton diagnostics."""
 
-    mesh: Mesh1D
-    family: ElementFamily
+    dofmap: DofMap
     coeffs: np.ndarray
     converged: bool
     newton_iters: int
@@ -416,19 +403,22 @@ class FemSolution:
     stop_reason: str = ""  # see newton_loop
 
     @classmethod
-    def from_newton(cls, mesh: Mesh1D, dofmap: DofMap, result: tuple) -> FemSolution:
+    def from_newton(cls, dofmap: DofMap, result: tuple) -> FemSolution:
         """Package a `newton_loop` result on `dofmap`, holding prescribed DOFs exactly."""
         coeffs, converged, iters, rnorm, history, stop_reason = result
         coeffs = coeffs.astype(np.float64)
-        for i, val in dofmap.constraints.items():
-            coeffs[i] = val
-        return cls(mesh, dofmap.family, coeffs, converged, iters, rnorm, history, stop_reason)
+        coeffs[dofmap.fixed] = dofmap.fixed_values
+        return cls(dofmap, coeffs, converged, iters, rnorm, history, stop_reason)
+
+    @property
+    def family(self) -> ElementFamily:
+        return self.dofmap.family
 
     def evaluate(self, eta) -> tuple:
         """Evaluate (f, f', f'') at eta in [0, 1]; f'' is None for C0 elements."""
 
         def fields_at(points):
-            n = self.mesh.n_elem
+            n = self.dofmap.n_elem
             q = points * n
             elem = np.minimum(q.astype(np.intp), n - 1)
             tables = basis_tables(self.family, eval_family(self.family, q - elem), 1.0 / n)
@@ -437,15 +427,8 @@ class FemSolution:
 
         return evaluate_on_unit_interval(eta, fields_at)
 
-    @property
-    def dofmap(self) -> DofMap:
-        """The (unconstrained) DOF numbering that `coeffs` is ordered by."""
-        return _dofmap(self.family, self.mesh.n_elem)
-
     def fp_right(self) -> float:
-        """f'(1) read directly from the slope DOF at eta = 1."""
-        if self.family.kind != HERMITE:
-            raise ValueError("slope DOFs exist only for the Hermite family")
+        """f'(1) read directly from the slope DOF at eta = 1 (Hermite families only)."""
         return float(self.coeffs[self.dofmap.endpoint(SLOPE, 1)])
 
 
@@ -463,11 +446,6 @@ def evaluate_on_unit_interval(eta, fields_at) -> tuple:
     if np.ndim(eta) == 0:
         return tuple(None if a is None else float(a[0]) for a in fields)
     return fields
-
-
-@lru_cache(maxsize=None)
-def _dofmap(family: ElementFamily, n_elem: int) -> DofMap:
-    return build_dofmap(build_mesh(n_elem), family)
 
 
 #: A Newton step no larger than this times max(1, ||x||_inf) moves the
@@ -571,13 +549,11 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
 
 def poiseuille_guess(dofmap: DofMap, dtype=_LD) -> np.ndarray:
     """Hermite interpolant of 1 - eta^2 (bubbles zero), constraints seeded."""
-    scal = np.dtype(dtype).type
     nodes = np.linspace(0, 1, dofmap.n_elem + 1).astype(dtype)
     coeffs = np.zeros(dofmap.n_global, dtype=dtype)
     coeffs[dofmap.nodal_dofs(VALUE)] = 1 - nodes**2
     coeffs[dofmap.nodal_dofs(SLOPE)] = -2 * nodes
-    for i, val in dofmap.constraints.items():
-        coeffs[i] = scal(val)
+    coeffs[dofmap.fixed] = dofmap.fixed_values
     return coeffs
 
 
@@ -607,4 +583,4 @@ def newton_solve(
         return assemble_jacobian(problem, dofmap, c, rule)
 
     result = newton_loop(res_fn, jac_fn, poiseuille_guess(dofmap), dofmap.free_mask(), opts)
-    return FemSolution.from_newton(mesh, dofmap, result)
+    return FemSolution.from_newton(dofmap, result)

@@ -12,11 +12,9 @@ import wedgeflow as wf
 
 def _interpolant_solution(n, p=3):
     """FemSolution wrapper around the Hermite interpolant of 1 - x^2."""
-    mesh = wf.build_mesh(n)
-    family = wf.hermite_family(p)
-    dm = wf.build_dofmap(mesh, family, wf.jh_constraints())
+    dm = wf.build_dofmap(wf.build_mesh(n), wf.hermite_family(p), wf.jh_constraints())
     coeffs = wf.poiseuille_guess(dm, dtype=np.float64)
-    return wf.FemSolution(mesh, family, coeffs, True, 0, 0.0)
+    return wf.FemSolution(dm, coeffs, True, 0, 0.0)
 
 
 def test_error_norms_exact_representation():
@@ -121,12 +119,10 @@ def test_K_from_fem_and_oracle_agree(fine_solutions, oracles):
 
 
 def test_norm_triangle_inequality():
-    mesh = wf.build_mesh(5)
-    family = wf.hermite_family(3)
-    dm = wf.build_dofmap(mesh, family)
+    dm = wf.build_dofmap(wf.build_mesh(5), wf.hermite_family(3))
     rng = np.random.default_rng(9)
     sols = [
-        wf.FemSolution(mesh, family, rng.standard_normal(dm.n_global), True, 0, 0.0)
+        wf.FemSolution(dm, rng.standard_normal(dm.n_global), True, 0, 0.0)
         for _ in range(3)
     ]
     rule = wf.gauss_legendre(8)
@@ -240,7 +236,7 @@ def test_duality_identity_off_solution(fine_solutions):
     coeffs[dm.endpoint(wf.VALUE, 0)] = 1.0
     coeffs[dm.endpoint(wf.SLOPE, 0)] = 0.0
     coeffs[dm.endpoint(wf.VALUE, 1)] = 0.0
-    bent = wf.FemSolution(fem.mesh, fem.family, coeffs, True, 0, 0.0)
+    bent = wf.FemSolution(dm, coeffs, True, 0, 0.0)
     lhs, rhs, diff = wf.duality_pairing_check(bent, prob)
     assert abs(lhs) > 1.0  # genuinely off the solution
     assert abs(diff) <= 1e-10 * max(1.0, abs(lhs))

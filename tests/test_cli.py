@@ -84,8 +84,7 @@ def test_bad_arguments_exit_two(capsys, argv):
 
 def _unconverged_solution():
     return wf.FemSolution(
-        mesh=wf.build_mesh(4),
-        family=wf.hermite_family(3),
+        dofmap=wf.build_dofmap(wf.build_mesh(4), wf.hermite_family(3)),
         coeffs=np.zeros(10),
         converged=False,
         newton_iters=2,
@@ -134,10 +133,13 @@ def test_check_reports_failed_solve(capsys, monkeypatch):
 )
 def test_flags_a_command_does_not_read_are_rejected(capsys, tmp_path, argv):
     path = tmp_path / "out.txt"
-    rc, out, err = run_capture(capsys, [str(path) if a == "PATH" else a for a in argv])
+    argv = [str(path) if a == "PATH" else a for a in argv]
+    rc, out, err = run_capture(capsys, argv)
     assert rc == 2
     assert out == ""
-    assert "unrecognized arguments" in err
+    # the usage shown is the subcommand's, so it lists the flags it does take
+    assert err.startswith(f"usage: wedgeflow {argv[0]} [-h]")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
     assert not path.exists()
 
 

@@ -182,8 +182,6 @@ def test_integrate_argument_validation():
                 integrate(prob, -2.0, **kw)
             with pytest.raises(ValueError, match="positive and finite"):
                 wf.shoot(prob, **kw)
-    with pytest.raises(ValueError):
-        integrate(prob, -2.0, n_dense=1)
     # below 100 eps the steps shrink to roundoff; at 1e-300 the integration crawls
     with pytest.raises(ValueError, match="rtol must be at least 100 eps"):
         wf.shoot(prob, rtol=1e-300, atol=1e-300)

@@ -334,11 +334,14 @@ def test_table_spot_values(case, fine_solutions):
 
 @pytest.mark.parametrize("case", CASES)
 def test_boundary_conditions_exact(case, fine_solutions):
+    # the solution carries the map of its solve, which prescribes f(0), f'(0) and f(1)
     _, fem = fine_solutions[case]
     dm = fem.dofmap
-    assert fem.coeffs[dm.endpoint(wf.VALUE, 0)] == 1.0
-    assert fem.coeffs[dm.endpoint(wf.SLOPE, 0)] == 0.0
-    assert fem.coeffs[dm.endpoint(wf.VALUE, 1)] == 0.0
+    ends = [dm.endpoint(wf.VALUE, 0), dm.endpoint(wf.SLOPE, 0), dm.endpoint(wf.VALUE, 1)]
+    assert dm.fixed.tolist() == ends
+    assert dm.fixed_values.tolist() == [1.0, 0.0, 0.0]
+    assert np.all(fem.coeffs[dm.fixed] == dm.fixed_values)
+    assert not dm.fixed.flags.writeable and not dm.fixed_values.flags.writeable
 
 
 def test_newton_iters_mesh_independent():
@@ -386,7 +389,7 @@ def test_evaluate_rejects_non_finite(fine_solutions, bad):
 
 def test_evaluate_continuity_across_interfaces(fine_solutions):
     _, fem = fine_solutions[(30.0, 15.0)]
-    h = fem.mesh.h
+    h = 1.0 / fem.dofmap.n_elem
     eps = 1e-9
     for node in (h, 0.5, 1.0 - h):
         f_lo, fp_lo, _ = fem.evaluate(node - eps)
@@ -408,7 +411,7 @@ def test_evaluate_at_nodes_reads_nodal_dofs(p):
     family = wf.hermite_family(p)
     dm = wf.build_dofmap(mesh, family)
     coeffs = np.random.default_rng(p).standard_normal(dm.n_global)
-    fem = wf.FemSolution(mesh, family, coeffs, True, 0, 0.0)
+    fem = wf.FemSolution(dm, coeffs, True, 0, 0.0)
     value_dofs = (p - 1) * np.arange(mesh.n_elem + 1)
     f, fp, _ = fem.evaluate(mesh.nodes)
     np.testing.assert_allclose(f, coeffs[value_dofs], rtol=0, atol=1e-12)
@@ -468,7 +471,7 @@ def test_evaluate_matches_quadrature_fields(family, n):
     eta = (elem + rule.points) / n
     exact = (np.floor(eta * n) == elem) & (eta * n - elem == rule.points)
     assert exact.sum() >= exact.size // 2
-    got = wf.FemSolution(mesh, family, coeffs, True, 0, 0.0).evaluate(eta[exact])
+    got = wf.FemSolution(dm, coeffs, True, 0, 0.0).evaluate(eta[exact])
     assert (got[2] is None) == (n_derivs == 1)
     ce = np.abs(coeffs[dm.element_dofs])
     for k in range(n_derivs + 1):
@@ -542,11 +545,11 @@ def _einsum_kernels(problem, dm, coeffs, rule):
     res_scale[s1] += abs(coeffs[s1])
     jac[s1, s1] -= 1
     jac_abs[s1, s1] += 1
-    for i, val in dm.constraints.items():
-        res[i] = coeffs[i] - dtype(val)
-        res_scale[i] = abs(coeffs[i]) + abs(val)
-        jac[i, :] = 0
-        jac[i, i] = jac_abs[i, i] = 1
+    fixed, values = dm.fixed, dm.fixed_values
+    res[fixed] = coeffs[fixed] - values.astype(dtype)
+    res_scale[fixed] = np.abs(coeffs[fixed]) + np.abs(values)
+    jac[fixed, :] = 0
+    jac[fixed, fixed] = jac_abs[fixed, fixed] = 1
     return res, res_scale, jac, jac_abs.max(axis=1)
 
 
