@@ -34,6 +34,10 @@ class ElementFamily:
             )
 
     @property
+    def n_funcs(self) -> int:
+        return self.degree + 1
+
+    @property
     def per_node(self) -> int:
         return self.PER_NODE[self.kind]
 

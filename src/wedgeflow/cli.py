@@ -341,7 +341,11 @@ def cmd_check(args) -> int:
     else:
         lhs, rhs, diff = duality_pairing_check(fem, problem)
         report("duality pairing identity", abs(diff) <= 1e-9, f"|lhs - rhs| = {abs(diff):.2e}")
-        bc_ok = bool(np.all(fem.coeffs[fem.dofmap.fixed] == fem.dofmap.fixed_values))
+        bcs = jh_constraints()
+        bc_ok = fem.dofmap.fixed.size == len(bcs) and all(
+            fem.coeffs[fem.dofmap.endpoint(kind, side)] == value
+            for (kind, side), value in bcs.items()
+        )
         report("boundary conditions", bc_ok, "direct DOF reads")
     return 1 if failures else 0
 

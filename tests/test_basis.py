@@ -60,6 +60,7 @@ def test_function_counts():
         s = eval_family(fam, np.linspace(0, 1, 7))
         assert s.values.shape == (fam.degree + 1, 7)
         assert s.first_derivs.shape == (fam.degree + 1, 7)
+        assert fam.n_funcs == fam.degree + 1
 
 
 def test_span_completeness():

@@ -455,6 +455,33 @@ def test_check_command_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "bcs, wrong_value",
+    [
+        ({(wf.VALUE, 0): 1.0, (wf.VALUE, 1): 0.0}, None),  # f'(0) left free
+        (None, 0.5),  # f'(0) prescribed, but to the wrong value
+    ],
+    ids=["two-prescribed", "wrong-slope"],
+)
+def test_check_boundary_conditions_can_fail(capsys, monkeypatch, bcs, wrong_value):
+    """`check` compares the solution with `jh_constraints()`, not with the
+    map the solve built, so a solve that prescribes other DOFs or values FAILs."""
+    real_solve = cli.newton_solve
+
+    def solve_with_wrong_map(problem, mesh, family, opts=None):
+        fem = real_solve(problem, mesh, family, opts)
+        dofmap = fem.dofmap if bcs is None else wf.build_dofmap(mesh, family, bcs)
+        coeffs = fem.coeffs.copy()
+        if wrong_value is not None:
+            coeffs[dofmap.endpoint(wf.SLOPE, 0)] = wrong_value
+        return dataclasses.replace(fem, dofmap=dofmap, coeffs=coeffs)
+
+    monkeypatch.setattr(cli, "newton_solve", solve_with_wrong_map)
+    rc, out, _err = run_capture(capsys, ["check", "--re", "30", "--nelem", "20"])
+    assert rc == 1
+    assert out.splitlines()[-1] == "FAIL boundary conditions: direct DOF reads"
+
+
 # ------------------------------------------------------------ import graph
 
 # Runs in a fresh interpreter, so no earlier test has loaded scipy.integrate
