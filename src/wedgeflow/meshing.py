@@ -36,7 +36,7 @@ def build_mesh(n_elem: int) -> Mesh1D:
     return Mesh1D(n_elem, nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Element-to-global DOF table with constraint bookkeeping.
 
@@ -46,7 +46,7 @@ class DofMap:
     therefore one contiguous index range, in the family's local order (left
     node, right node, bubbles), and the half-bandwidth equals the degree p.
     `fixed` holds the prescribed global DOFs in ascending order and
-    `fixed_values` their values; both are read-only.
+    `fixed_values` their values; both are read-only.  Maps compare by identity.
     """
 
     family: ElementFamily
@@ -77,7 +77,9 @@ class DofMap:
             out[col : col + span : stride] += local[:, a]
 
     def free_mask(self) -> np.ndarray:
-        return np.isin(np.arange(self.n_global), self.fixed, invert=True)
+        mask = np.ones(self.n_global, dtype=bool)
+        mask[self.fixed] = False
+        return mask
 
     def endpoint(self, kind: str, side: int) -> int:
         """Global index of the `kind` DOF ("value" or "slope") at eta = `side`."""

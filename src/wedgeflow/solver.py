@@ -17,7 +17,11 @@ tolerance on fine meshes.  Residuals follow the dtype of the iterate they are
 given: `newton_loop` evaluates them on a float64 copy while it is still far
 from the root, where the float64 floor (about 1e-9 on fine meshes) lies far
 below the residual, and in longdouble for the last steps and every stop
-decision.
+decision.  Everything the assemblers need that depends only on the DofMap
+(basis, pair and test tables, band slices) is built once per map and rule
+(`_assembly_tables`); each call then runs a few large `np.dot` products,
+which, unlike `@`, have a fast loop for longdouble.  `solve_banded` hands
+LAPACK one Fortran-ordered copy of the band to factorise in place.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -101,22 +107,21 @@ class BandedMatrix:
             raise ValueError("entry outside declared half-bandwidth")
         np.add.at(self.data, (2 * self.k + rows - cols, cols), values)
 
-    def add_elements(self, element_dofs: np.ndarray, local: np.ndarray):
+    def add_elements(self, element_dofs: np.ndarray, local: np.ndarray, slices=None):
         """Scatter-add local[e, a, b] at (element_dofs[e, a], element_dofs[e, b]).
 
         `local` is (n_elem, m, m) or one (m, m) block shared by every element.
         Each local pair (a, b) is one strided slice of band row
-        2k + dofs[a] - dofs[b] (see `column_slices`).  A band entry gets at
-        most two contributions, from neighbouring elements, so the sum is
-        exact in any order; it keeps the dtype of `data`.
+        2k + dofs[a] - dofs[b] (`slices`, by default their `band_slices`).  A
+        band entry gets at most two contributions, from neighbouring elements,
+        so the sum is exact in any order; it keeps the dtype of `data`.
         """
-        first, stride, span = column_slices(element_dofs)
-        if max(first) - min(first) > self.k:
-            raise ValueError("entry outside declared half-bandwidth")
-        local = np.broadcast_to(local, element_dofs.shape + element_dofs.shape[1:])
-        for a, row in enumerate(first):
-            for b, col in enumerate(first):
-                self.data[2 * self.k + row - col, col : col + span : stride] += local[:, a, b]
+        if slices is None:
+            slices = band_slices(column_slices(element_dofs), self.k)
+        m = element_dofs.shape[1]
+        local = np.broadcast_to(local, element_dofs.shape + (m,))
+        for j, (row, cols) in enumerate(slices):
+            self.data[row, cols] += local[:, j // m, j % m]
 
     def set_identity_row(self, i: int):
         j = np.arange(max(0, i - self.k), min(self.n, i + self.k + 1))
@@ -146,10 +151,21 @@ class BandedMatrix:
         return a
 
     def inf_norm(self) -> float:
+        """max_i sum_j |a_ij|, in float64, adding the diagonals d = -k..k in turn."""
         rowsum = np.zeros(self.n, dtype=np.float64)
         for rows, _cols, entries in self._diagonals():
-            rowsum[rows] += np.abs(entries).astype(np.float64)
+            rowsum[rows] += np.abs(entries).astype(np.float64, copy=False)
         return float(rowsum.max()) if self.n else 0.0
+
+
+def band_slices(columns: tuple, k: int) -> list:
+    """[(band row, column slice)] holding entry (dofs[e, a], dofs[e, b]) of
+    every element e, for each local pair (a, b), a major, in the band
+    storage of half-bandwidth k; `columns` is the `column_slices` of dofs."""
+    first, stride, span = columns
+    if max(first) - min(first) > k:
+        raise ValueError("entry outside declared half-bandwidth")
+    return [(2 * k + row - col, slice(col, col + span, stride)) for row in first for col in first]
 
 
 @lru_cache(maxsize=None)
@@ -190,23 +206,15 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
     """Solve a x = b by banded LU with partial pivoting (LAPACK `dgbsv`).
 
     Raises SingularMatrixError (naming the pivot index) when a pivot is zero
-    or falls below 1e-14 * ||a||_inf.
-
-    `dgbsv` comes from SciPy's compiled LAPACK extension, loaded directly on
-    the first call.  `scipy.linalg.lapack` re-exports the same routines, but
-    importing `scipy.linalg` takes several times longer than a whole CLI
-    command runs: its package init loads the array-API shim, which imports
-    `numpy.f2py`, `numpy.testing`, `numpy.random` and `numpy.ma`.  When
-    `scipy.linalg` is already imported, its extension is used; when the
-    extension cannot be loaded by itself, `scipy.linalg.lapack` is imported
-    instead.  Each runs the same routine, so the solution is bit-identical
-    either way.
+    or falls below 1e-14 * ||a||_inf.  `dgbsv` comes from SciPy's compiled
+    LAPACK extension (see `_dgbsv`), without importing `scipy.linalg`, whose
+    package init takes several times longer than a whole CLI command runs.
     """
     if b.shape[0] != a.n:
         raise ValueError("right-hand side length mismatch")
-    ab = a.data.astype(np.float64, copy=True)
+    ab = np.array(a.data, dtype=np.float64, order="F")  # factorised in place; `a` is never written
     anorm = a.inf_norm()
-    lub, _piv, x, info = _dgbsv()(a.k, a.k, ab, np.asarray(b, dtype=np.float64))
+    lub, _piv, x, info = _dgbsv()(a.k, a.k, ab, np.asarray(b, dtype=np.float64), overwrite_ab=1)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded solver")
     if info > 0:
@@ -264,26 +272,6 @@ def basis_tables(family: ElementFamily, shapes: ShapeEval, h) -> tuple:
     return v, d1, d2
 
 
-@lru_cache(maxsize=None)
-def _reference_pairs(family: ElementFamily, points: bytes, weights: bytes):
-    """Read-only h-free pair tables (P, D) of `assemble_jacobian`, in float64.
-
-    P is (2 nq, m^2): rows q hold v_i v_j and rows nq + q hold v_i d1_j at
-    point q, for the m = p + 1 reference functions; D is sum_q w_q d2_i d1_j,
-    flattened to m^2.  Keyed like `_reference_tables`; `assemble_jacobian`
-    applies the mesh size.
-    """
-    shapes = _reference_tables(family, points, np.dtype(np.float64))
-    v, d1, d2 = shapes.values, shapes.first_derivs, shapes.second_derivs
-    m, nq = v.shape
-    prods = np.concatenate([v[:, None, :] * v[None, :, :], v[:, None, :] * d1[None, :, :]], axis=2)
-    pairs = prods.reshape(m * m, 2 * nq).T.copy()
-    const = ((d2 * np.frombuffer(weights)) @ d1.T).ravel()
-    for table in (pairs, const):
-        table.setflags(write=False)
-    return pairs, const
-
-
 def quadrature_fields(
     dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule, h, n_derivs: int = 1
 ):
@@ -297,17 +285,56 @@ def quadrature_fields(
     shapes = _reference_tables(dofmap.family, rule.points.tobytes(), coeffs.dtype)
     tables = basis_tables(dofmap.family, shapes, h)
     ce = coeffs[dofmap.element_dofs]  # (n, p+1)
-    return tables, tuple(ce @ t for t in tables[: n_derivs + 1])
+    return tables, tuple(np.dot(ce, t) for t in tables[: n_derivs + 1])
 
 
-def _check_rule(dofmap: DofMap, rule: QuadratureRule):
-    if dofmap.family.kind != HERMITE:
+_Tables = namedtuple("_Tables", "v d1 weights test fixed_values pairs const slices identity",
+                     defaults=(None,) * 4)
+
+#: DofMap -> {(rule, dtype): `_assembly_tables`}; entries die with their map.
+_MAP_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _assembly_tables(dofmap: DofMap, rule: QuadratureRule, dtype: np.dtype) -> _Tables:
+    """The assemblers' tables that depend only on (dofmap, rule, dtype), built once: v, d1,
+    weights, the residual's [d2; v]^T h and the prescribed values in `dtype` at h = 1 / n_elem;
+    for the Jacobian, in float64, P, D, `band_slices` and the prescribed rows' band entries."""
+    per_map = _MAP_TABLES.setdefault(dofmap, {})
+    points = rule.points.tobytes()
+    key = (points, rule.weights.tobytes(), rule.exactness, dtype)
+    if key in per_map:
+        return per_map[key]
+    family, k, n = dofmap.family, dofmap.half_bandwidth, dofmap.n_elem
+    if family.kind != HERMITE:
         raise ValueError("wedge-flow assembly requires the Hermite family")
-    need = 3 * dofmap.family.degree - 1
+    need = 3 * family.degree - 1
     if rule.exactness < need:
-        raise ValueError(
-            f"rule exactness {rule.exactness} below required degree {need}"
-        )
+        raise ValueError(f"rule exactness {rule.exactness} below required degree {need}")
+    h = dtype.type(1.0) / n
+    v, d1, d2 = basis_tables(family, _reference_tables(family, points, dtype), h)
+    test = np.concatenate([d2, v], axis=1).T * h
+    tables = _Tables(v, d1, rule.weights.astype(dtype), test, dofmap.fixed_values.astype(dtype))
+    if dtype == np.float64:  # the Jacobian's tables; it is always assembled in float64
+        # P is (2 nq, m^2): rows q hold v_i v_j and rows nq + q hold v_i d1_j at point q;
+        # D is sum_q w_q d2_i d1_j.  h * (v_i v_j, v_i d1_j, d2_i d1_j) carry the physical-
+        # slope factors s_i s_j (`_slope_scale`) and the chain factors (h, 1, 1 / h^2).
+        ref = _reference_tables(family, points, dtype)
+        rv, rd1 = ref.values, ref.first_derivs
+        scale = _slope_scale(family, h, dtype)
+        scale = np.outer(scale, scale).ravel()
+        pairs = np.concatenate([np.einsum("iq,jq->qij", rv, t, order="C") for t in (rv, rd1)])
+        pairs = pairs.reshape(2 * rule.weights.size, -1) * scale
+        pairs[: rule.weights.size] *= h
+        const = ((ref.second_derivs * rule.weights) @ rd1.T).ravel() * (scale / h**2)
+        # every in-band entry (i, j) of the prescribed rows i, at data[2k + i - j, j]
+        i = dofmap.fixed[:, None]
+        j = i + np.arange(-k, k + 1)
+        inside = (j >= 0) & (j < dofmap.n_global)
+        identity = ((2 * k + i - j)[inside], j[inside])
+        slices = band_slices(dofmap.column_slices, k)
+        tables = tables._replace(pairs=pairs, const=const, slices=slices, identity=identity)
+    per_map[key] = tables
+    return tables
 
 
 def assemble_residual(
@@ -318,27 +345,28 @@ def assemble_residual(
     Constrained rows carry (current value - prescribed value); all arithmetic
     follows the dtype of `coeffs`.
     """
-    _check_rule(dofmap, rule)
     coeffs = np.asarray(coeffs)
+    dtype = coeffs.dtype if np.issubdtype(coeffs.dtype, np.floating) else np.dtype(np.float64)
+    tables = _assembly_tables(dofmap, rule, dtype)
     if coeffs.shape[0] != dofmap.n_global:
         raise ValueError("coefficient vector length mismatch")
-    dtype = coeffs.dtype if np.issubdtype(coeffs.dtype, np.floating) else np.dtype(np.float64)
     scal = dtype.type
     coeffs = coeffs.astype(dtype, copy=False)
-    n = dofmap.n_elem
-    h = scal(1.0) / n
-    (v, _, d2), (f, fp) = quadrature_fields(dofmap, coeffs, rule, h)
+    ce = coeffs[dofmap.element_dofs]
+    f, fp = np.dot(ce, tables.v), np.dot(ce, tables.d1)
     c = scal(2.0) * scal(problem.reynolds) * scal(problem.alpha)
     a2 = scal(4.0) * scal(problem.alpha) ** 2
-    # R_i = h sum_q f' w (phi_i'' + (c f + 4 alpha^2) phi_i): one product over [d2; v]
-    fpw = fp * rule.weights.astype(dtype)
-    tables = np.concatenate([d2, v], axis=1).T * h  # (2 nq, p + 1)
-    local = np.concatenate([fpw, (c * f + a2) * fpw], axis=1) @ tables
+    # R_i = h sum_q f' w (phi_i'' + (c f + 4 alpha^2) phi_i): one product of
+    # [f' w, (c f + 4 alpha^2) f' w] with [d2; v]^T h; the halves are formed in place
+    fp *= tables.weights
+    f *= c
+    f += a2
+    f *= fp
     out = np.zeros(dofmap.n_global, dtype=dtype)
-    dofmap.scatter_add(out, local)
+    dofmap.scatter_add(out, np.dot(np.concatenate([fp, f], axis=1), tables.test))
     s1 = dofmap.endpoint(SLOPE, 1)
     out[s1] -= coeffs[s1]  # boundary term -f'(1) phi_i'(1)
-    out[dofmap.fixed] = coeffs[dofmap.fixed] - dofmap.fixed_values.astype(dtype)
+    out[dofmap.fixed] = coeffs[dofmap.fixed] - tables.fixed_values
     return out
 
 
@@ -346,32 +374,29 @@ def assemble_jacobian(
     problem: JhProblem, dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule
 ) -> BandedMatrix:
     """Assemble the residual's Jacobian; constrained rows become identity rows."""
-    _check_rule(dofmap, rule)
+    tables = _assembly_tables(dofmap, rule, np.dtype(np.float64))
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape[0] != dofmap.n_global:
         raise ValueError("coefficient vector length mismatch")
-    n = dofmap.n_elem
-    h = 1.0 / n
-    _, (f, fp) = quadrature_fields(dofmap, coeffs, rule, h)
-    wts = rule.weights
+    ce = coeffs[dofmap.element_dofs]
+    f, fp = np.dot(ce, tables.v), np.dot(ce, tables.d1)
     c = 2.0 * problem.reynolds * problem.alpha
     a2 = 4.0 * problem.alpha**2
-    pairs, const = _reference_pairs(dofmap.family, rule.points.tobytes(), wts.tobytes())
-    # physical-slope factors s_i s_j (`_slope_scale`) with the chain factors:
-    # h * (v_i v_j, v_i d1_j, d2_i d1_j) carry s_i s_j * (h, 1, 1 / h^2)
-    scale = _slope_scale(dofmap.family, h, np.float64)
-    scale = np.outer(scale, scale).ravel()
-    pairs = pairs * scale
-    pairs[: wts.size] *= h
-    local = np.concatenate([c * fp * wts, (c * f + a2) * wts], axis=1) @ pairs
-    local += const * (scale / h**2)
-    m = dofmap.family.degree + 1
+    # all element blocks as [c f' w, (c f + 4 alpha^2) w] P + D
+    fp *= c
+    fp *= tables.weights
+    f *= c
+    f += a2
+    f *= tables.weights
+    local = np.dot(np.concatenate([fp, f], axis=1), tables.pairs)
+    local += tables.const
+    n, m = dofmap.element_dofs.shape
     mat = BandedMatrix(dofmap.n_global, dofmap.half_bandwidth)
-    mat.add_elements(dofmap.element_dofs, local.reshape(n, m, m))
+    mat.add_elements(dofmap.element_dofs, local.reshape(n, m, m), tables.slices)
     s1 = dofmap.endpoint(SLOPE, 1)
-    mat.add_at(np.array([s1]), np.array([s1]), np.array([-1.0]))
-    for i in dofmap.fixed:
-        mat.set_identity_row(i)
+    mat.data[2 * mat.k, s1] -= 1.0  # boundary term -f'(1) phi_i'(1)
+    mat.data[tables.identity] = 0.0
+    mat.data[2 * mat.k, dofmap.fixed] = 1.0
     return mat
 
 
@@ -390,7 +415,7 @@ class SolverOptions:
             raise ValueError(f"max_iter must be an integer >= 0, got {n!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FemSolution:
     """A (possibly non-converged) solution on the `dofmap` of its solve, with Newton diagnostics."""
 
@@ -493,13 +518,15 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
     iterate seen (by residual norm) is returned.
     """
     coeffs = coeffs0.astype(_LD, copy=True)
+    free = np.flatnonzero(free_mask)
 
     def evaluate(x):
         res = residual_fn(x)
-        return res, (float(np.max(np.abs(res[free_mask]))) if np.any(free_mask) else 0.0)
+        return res, (float(np.max(np.abs(res[free]))) if free.size else 0.0)
 
     history = []
-    best = (np.inf, coeffs.copy(), True)
+    x64 = coeffs.astype(np.float64)
+    best = (np.inf, coeffs, True)  # iterates are replaced, never written in place
     iters = 0
     rnorm = np.inf
     stop_reason = "max_iter"
@@ -515,7 +542,6 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
             predicted = step * ratio * ratio
         far = step > FLOAT64_STEP * scale and predicted > FLOAT64_STEP * scale
         extended = extended or not far
-        x64 = coeffs.astype(np.float64)
         res, rnorm = evaluate(coeffs if extended else x64)
         # a roundoff stop needs no check here: its step, at most ROUNDOFF_STEP * scale,
         # is not `far`, so `extended` is already set
@@ -524,7 +550,7 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
             res, rnorm = evaluate(coeffs)
         history.append(rnorm)
         if rnorm < best[0]:
-            best = (rnorm, coeffs.copy(), extended)
+            best = (rnorm, coeffs, extended)
         if rnorm <= opts.tol and (prev_step == np.inf or predicted <= opts.tol):
             stop_reason = "residual"
             break
@@ -533,11 +559,12 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
         if at_roundoff:
             stop_reason = "roundoff" if step <= 0.5 * prev_step else "stagnated"
             break
-        delta = solve_banded(jacobian_fn(x64), -res.astype(np.float64))
-        coeffs = coeffs + delta.astype(_LD)
+        delta = solve_banded(jacobian_fn(x64), np.negative(res, dtype=np.float64))
+        coeffs = np.add(coeffs, delta, dtype=_LD)
+        x64 = coeffs.astype(np.float64)
         iters += 1
         prev_step, step = step, float(np.max(np.abs(delta)))
-        scale = max(1.0, float(np.max(np.abs(coeffs))))
+        scale = max(1.0, float(np.max(np.abs(x64))))  # rounding is monotonic: the same max
         at_roundoff = step <= ROUNDOFF_STEP * scale
     converged = stop_reason in ("residual", "roundoff")
     if not converged:
@@ -583,4 +610,5 @@ def newton_solve(
         return assemble_jacobian(problem, dofmap, c, rule)
 
     result = newton_loop(res_fn, jac_fn, poiseuille_guess(dofmap), dofmap.free_mask(), opts)
+    _MAP_TABLES.pop(dofmap, None)  # the solution keeps its map, but not the solve's tables
     return FemSolution.from_newton(dofmap, result)

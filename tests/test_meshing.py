@@ -124,3 +124,29 @@ def test_out_of_band_write_rejected():
     mat = wf.BandedMatrix(6, 1)
     with pytest.raises(ValueError):
         mat.add_at([0], [3], [1.0])
+
+
+def test_dofmaps_and_solutions_compare_by_identity():
+    mesh, family = wf.build_mesh(3), wf.hermite_family(3)
+    a = wf.build_dofmap(mesh, family, wf.jh_constraints())
+    b = wf.build_dofmap(mesh, family, wf.jh_constraints())
+    assert a == a and not (a != a)
+    assert a != b  # equal contents, but each map has its own derived tables
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+    fem = wf.FemSolution(a, np.zeros(a.n_global), True, 0, 0.0)
+    twin = wf.FemSolution(a, np.zeros(a.n_global), True, 0, 0.0)
+    assert fem == fem and fem != twin
+    assert len({fem, twin}) == 2
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
+def test_free_mask_is_false_exactly_at_the_prescribed_dofs(family):
+    bcs = wf.jh_constraints() if family.per_node == 2 else wf.model_constraints()
+    for n in (1, 4):
+        mesh = wf.build_mesh(n)
+        for dm in (wf.build_dofmap(mesh, family, bcs), wf.build_dofmap(mesh, family)):
+            mask = dm.free_mask()
+            assert mask.dtype == bool
+            assert np.array_equal(mask, np.isin(np.arange(dm.n_global), dm.fixed, invert=True))
+            mask[:] = False  # a new array each call
+            assert dm.free_mask().sum() == dm.n_global - dm.fixed.size
