@@ -55,7 +55,7 @@ def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
     evaluator = _reference_evaluator(ref)
     n = fem.dofmap.n_elem
     h = 1.0 / n
-    _, (fh, fph) = quadrature_fields(fem.dofmap, fem.coeffs, rule, h)
+    _, (fh, fph) = quadrature_fields(fem.dofmap, fem.coeffs, rule)
     x = (np.arange(n)[:, None] + rule.points[None, :]) * h
     ref_vals = evaluator(x.ravel())
     fr = np.asarray(ref_vals[0]).reshape(n, -1)
@@ -168,7 +168,7 @@ def duality_pairing_check(fem: FemSolution, problem: JhProblem) -> tuple[float, 
     rule = gauss_legendre(math.ceil((3 * p + 1) / 2))
     n = fem.dofmap.n_elem
     h = 1.0 / n
-    _, (f, fp, fpp) = quadrature_fields(fem.dofmap, fem.coeffs, rule, h, n_derivs=2)
+    _, (f, fp, fpp) = quadrature_fields(fem.dofmap, fem.coeffs, rule, n_derivs=2)
     c = 2.0 * problem.reynolds * problem.alpha
     a2 = 4.0 * problem.alpha**2
     integrand = fp * (fpp + c * f**2 + a2 * f)

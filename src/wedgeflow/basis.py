@@ -50,12 +50,12 @@ def hierarchic_family(p: int) -> ElementFamily:
     return ElementFamily(HIERARCHIC, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeEval:
     """Shape-function values and reference-coordinate derivatives at sample t.
 
     Arrays are shaped (p + 1, len(t)); `second_derivs` is None for the
-    hierarchic family.
+    hierarchic family.  Evaluations compare by identity.
     """
 
     values: np.ndarray

@@ -15,9 +15,9 @@ VALUE = "value"
 SLOPE = "slope"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh1D:
-    """Uniform mesh of n_elem elements on [0, 1]."""
+    """Uniform mesh of n_elem elements on [0, 1]; meshes compare by identity."""
 
     n_elem: int
     nodes: np.ndarray

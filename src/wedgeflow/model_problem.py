@@ -77,7 +77,7 @@ def assemble_model(cfg: ModelConfig, dofmap, rule):
     h = _LD(1) / n
     pts = rule.points.astype(_LD)
     wts = rule.weights.astype(_LD)
-    shapes = _reference_tables(dofmap.family, rule.points.tobytes(), np.dtype(_LD))
+    shapes = _reference_tables(dofmap.family, rule, np.dtype(_LD))
     v, dx, _ = basis_tables(dofmap.family, shapes, h)
     mat = BandedMatrix(dofmap.n_global, dofmap.half_bandwidth, dtype=_LD)
     rhs = np.zeros(dofmap.n_global, dtype=_LD)

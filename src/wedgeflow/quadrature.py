@@ -11,13 +11,23 @@ import numpy as np
 MAX_POINTS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """An n-point rule on [0, 1]: integrates polynomials up to `exactness`."""
+    """An n-point rule on [0, 1]: integrates polynomials up to `exactness`.
+
+    Holds read-only copies of its arrays and compares by identity, so the
+    tables cached per rule (`solver._reference_tables`) stay valid.
+    """
 
     points: np.ndarray
     weights: np.ndarray
     exactness: int
+
+    def __post_init__(self):
+        for name in ("points", "weights"):
+            array = np.array(getattr(self, name))
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def integrate(self, values: np.ndarray) -> float:
         """Apply the rule to integrand samples taken at `points`."""
@@ -69,11 +79,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     if n == 1:
         return QuadratureRule(np.array([0.5]), np.array([1.0]), 1)
     x, w = _legendre_nodes(n)
-    pts = 0.5 * (x + 1.0)
-    wts = 0.5 * w
-    pts.setflags(write=False)
-    wts.setflags(write=False)
-    return QuadratureRule(pts, wts, 2 * n - 1)
+    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, 2 * n - 1)
 
 
 def required_points(p: int) -> int:

@@ -186,12 +186,12 @@ def integrate(
     return _sample(solve_ivp(problem, s, rtol, atol).sol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSolution:
     """Shooting trajectory at the converged initial curvature s.
 
     `trajectory` is the integrator's continuous extension, mapping eta to the
-    rows (f, f', f''); `grid` and `states` sample it uniformly.
+    rows (f, f', f''); `grid` and `states` sample it uniformly; compared by identity.
     """
 
     problem: JhProblem

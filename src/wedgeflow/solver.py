@@ -18,8 +18,8 @@ given: `newton_loop` evaluates them on a float64 copy while it is still far
 from the root, where the float64 floor (about 1e-9 on fine meshes) lies far
 below the residual, and in longdouble for the last steps and every stop
 decision.  Everything the assemblers need that depends only on the DofMap
-(basis, pair and test tables, band slices) is built once per map and rule
-(`_assembly_tables`); each call then runs a few large `np.dot` products,
+(basis, pair and test tables, band slices) is built once per map, rule and
+dtype (`_assembly_tables`); each call then runs a few large `np.dot` products,
 which, unlike `@`, have a fast loop for longdouble.  `solve_banded` hands
 LAPACK one Fortran-ordered copy of the band to factorise in place.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -234,19 +233,19 @@ def _slope_scale(family: ElementFamily, h, dtype) -> np.ndarray:
     only the 1/h and 1/h^2 chain factors.  Every other factor is 1.
     """
     scale = np.ones(family.degree + 1, dtype=dtype)
-    if family.per_node == 2:  # a node's DOFs are (value, slope)
+    if family.kind == HERMITE:  # a node's DOFs are (value, slope)
         scale[1:4:2] = h
     return scale
 
 
-@lru_cache(maxsize=None)
-def _reference_tables(family: ElementFamily, points: bytes, dtype: np.dtype) -> ShapeEval:
-    """Read-only `eval_family` tables at the float64 rule points `points`.
+@lru_cache(maxsize=128)
+def _reference_tables(family: ElementFamily, rule: QuadratureRule, dtype: np.dtype) -> ShapeEval:
+    """Read-only `eval_family` tables at the points of `rule`.
 
-    The key holds no mesh size, so the cache stays bounded: one entry per
-    (family, rule, dtype) in use.
+    The key holds no mesh size: one entry per (family, rule, dtype) in use.  Rules key by
+    identity, so the bound keeps a new rule built per call from growing the cache.
     """
-    shapes = eval_family(family, np.frombuffer(points).astype(dtype))
+    shapes = eval_family(family, rule.points.astype(dtype))
     for table in (shapes.values, shapes.first_derivs, shapes.second_derivs):
         if table is not None:
             table.setflags(write=False)
@@ -258,8 +257,8 @@ def basis_tables(family: ElementFamily, shapes: ShapeEval, h) -> tuple:
 
     `shapes` is an `eval_family` result; the tables get the physical-slope
     scaling (`_slope_scale`) and the 1/h and 1/h^2 chain factors, in the
-    dtype of `shapes`.  d2 is None for C0 families.  This is the only place
-    that maps reference tables to physical ones.
+    dtype of `shapes`.  d2 is None for C0 families.  Of the physical tables,
+    only the Jacobian's P and D are scaled elsewhere (`_assembly_tables`).
     """
     dtype = shapes.values.dtype
     h = dtype.type(h)
@@ -273,37 +272,30 @@ def basis_tables(family: ElementFamily, shapes: ShapeEval, h) -> tuple:
 
 
 def quadrature_fields(
-    dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule, h, n_derivs: int = 1
+    dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule, n_derivs: int = 1
 ):
     """Basis tables and the field `coeffs` at the rule points of every element.
 
     Returns (tables, fields): `tables` is (v, d1, d2), each (p+1, nq) with the
-    physical-slope scaling applied (d2 is None for C0 families), and `fields`
-    is (f, f', ...) up to derivative `n_derivs`, each (n_elem, nq).  All
-    arithmetic follows the dtype of `coeffs`.
+    physical-slope scaling applied at h = 1 / n_elem (d2 is None for C0
+    families), and `fields` is (f, f', ...) up to derivative `n_derivs`, each
+    (n_elem, nq).  All arithmetic follows the dtype of `coeffs`.
     """
-    shapes = _reference_tables(dofmap.family, rule.points.tobytes(), coeffs.dtype)
-    tables = basis_tables(dofmap.family, shapes, h)
+    shapes = _reference_tables(dofmap.family, rule, coeffs.dtype)
+    tables = basis_tables(dofmap.family, shapes, 1.0 / dofmap.n_elem)
     ce = coeffs[dofmap.element_dofs]  # (n, p+1)
     return tables, tuple(np.dot(ce, t) for t in tables[: n_derivs + 1])
 
 
-_Tables = namedtuple("_Tables", "v d1 weights test fixed_values pairs const slices identity",
-                     defaults=(None,) * 4)
-
-#: DofMap -> {(rule, dtype): `_assembly_tables`}; entries die with their map.
-_MAP_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_Tables = namedtuple("_Tables", "v d1 weights test pairs const slices identity", defaults=(None,) * 4)
 
 
+@lru_cache(maxsize=2)
 def _assembly_tables(dofmap: DofMap, rule: QuadratureRule, dtype: np.dtype) -> _Tables:
-    """The assemblers' tables that depend only on (dofmap, rule, dtype), built once: v, d1,
-    weights, the residual's [d2; v]^T h and the prescribed values in `dtype` at h = 1 / n_elem;
-    for the Jacobian, in float64, P, D, `band_slices` and the prescribed rows' band entries."""
-    per_map = _MAP_TABLES.setdefault(dofmap, {})
-    points = rule.points.tobytes()
-    key = (points, rule.weights.tobytes(), rule.exactness, dtype)
-    if key in per_map:
-        return per_map[key]
+    """The assemblers' tables that depend only on (dofmap, rule, dtype): v, d1, weights and
+    the residual's [d2; v]^T h in `dtype` at h = 1 / n_elem; for the Jacobian, in float64,
+    P, D, `band_slices` and the prescribed rows' band entries.  A Newton solve uses two sets,
+    float64 and longdouble, so it builds each once, and at most two outlive it."""
     family, k, n = dofmap.family, dofmap.half_bandwidth, dofmap.n_elem
     if family.kind != HERMITE:
         raise ValueError("wedge-flow assembly requires the Hermite family")
@@ -311,14 +303,14 @@ def _assembly_tables(dofmap: DofMap, rule: QuadratureRule, dtype: np.dtype) -> _
     if rule.exactness < need:
         raise ValueError(f"rule exactness {rule.exactness} below required degree {need}")
     h = dtype.type(1.0) / n
-    v, d1, d2 = basis_tables(family, _reference_tables(family, points, dtype), h)
+    ref = _reference_tables(family, rule, dtype)
+    v, d1, d2 = basis_tables(family, ref, h)
     test = np.concatenate([d2, v], axis=1).T * h
-    tables = _Tables(v, d1, rule.weights.astype(dtype), test, dofmap.fixed_values.astype(dtype))
+    tables = _Tables(v, d1, rule.weights.astype(dtype), test)
     if dtype == np.float64:  # the Jacobian's tables; it is always assembled in float64
         # P is (2 nq, m^2): rows q hold v_i v_j and rows nq + q hold v_i d1_j at point q;
         # D is sum_q w_q d2_i d1_j.  h * (v_i v_j, v_i d1_j, d2_i d1_j) carry the physical-
         # slope factors s_i s_j (`_slope_scale`) and the chain factors (h, 1, 1 / h^2).
-        ref = _reference_tables(family, points, dtype)
         rv, rd1 = ref.values, ref.first_derivs
         scale = _slope_scale(family, h, dtype)
         scale = np.outer(scale, scale).ravel()
@@ -333,7 +325,6 @@ def _assembly_tables(dofmap: DofMap, rule: QuadratureRule, dtype: np.dtype) -> _
         identity = ((2 * k + i - j)[inside], j[inside])
         slices = band_slices(dofmap.column_slices, k)
         tables = tables._replace(pairs=pairs, const=const, slices=slices, identity=identity)
-    per_map[key] = tables
     return tables
 
 
@@ -366,7 +357,7 @@ def assemble_residual(
     dofmap.scatter_add(out, np.dot(np.concatenate([fp, f], axis=1), tables.test))
     s1 = dofmap.endpoint(SLOPE, 1)
     out[s1] -= coeffs[s1]  # boundary term -f'(1) phi_i'(1)
-    out[dofmap.fixed] = coeffs[dofmap.fixed] - tables.fixed_values
+    out[dofmap.fixed] = coeffs[dofmap.fixed] - dofmap.fixed_values  # float64 promotes exactly
     return out
 
 
@@ -610,5 +601,4 @@ def newton_solve(
         return assemble_jacobian(problem, dofmap, c, rule)
 
     result = newton_loop(res_fn, jac_fn, poiseuille_guess(dofmap), dofmap.free_mask(), opts)
-    _MAP_TABLES.pop(dofmap, None)  # the solution keeps its map, but not the solve's tables
     return FemSolution.from_newton(dofmap, result)

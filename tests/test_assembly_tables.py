@@ -1,9 +1,10 @@
 """The per-map assembly tables (`solver._assembly_tables`) and the band solve.
 
 The assemblers build their mesh-dependent tables once per (DofMap, rule,
-dtype).  These tests check that the cached tables never leak from one map,
-rule or dtype into another, that they die with their map, and that the band
-solve and its norm do what the uncached code did.
+dtype) and memoise the last two sets.  These tests check that the cached
+tables never leak from one map, rule or dtype into another, that the memo
+lets go of a map two solves later, and that the band solve and its norm do
+what the uncached code did.
 """
 
 import gc
@@ -31,7 +32,7 @@ def test_interleaved_maps_rules_and_dtypes_match_fresh_maps():
     p = 4
     rules = (wf.gauss_legendre(wf.required_points(p)), wf.gauss_legendre(wf.required_points(p) + 2))
     maps = {n: _map(n, p) for n in (7, 8)}
-    for sweep in range(2):  # the second sweep reads every table from the cache
+    for sweep in range(2):  # the Jacobian on `dm` reads the float64 residual's cached tables
         for n, dm in maps.items():
             for r, rule in enumerate(rules):
                 for dtype in (np.float64, np.longdouble):
@@ -44,21 +45,35 @@ def test_interleaved_maps_rules_and_dtypes_match_fresh_maps():
                     jac = wf.assemble_jacobian(prob, dm, coeffs, rule)
                     jac_fresh = wf.assemble_jacobian(prob, fresh, coeffs, rule)
                     assert np.array_equal(jac.data, jac_fresh.data)
-    assert all(len(solver._MAP_TABLES[dm]) == 2 * len(rules) for dm in maps.values())
+    assert solver._assembly_tables.cache_info().currsize <= 2
+
+
+def _table_refs(dm, rule):
+    """Weak references to `dm` and to its cached float64 and longdouble tables."""
+    refs = [weakref.ref(dm)]
+    for dtype in (np.float64, np.longdouble):
+        tables = solver._assembly_tables(dm, rule, np.dtype(dtype))
+        refs += [weakref.ref(t) for t in (tables.v, tables.weights, tables.test)]
+    return refs
+
+
+def _solve_twice_elsewhere():
+    prob = make_problem(30.0, 15.0)
+    for n in (11, 12):
+        assert wf.newton_solve(prob, wf.build_mesh(n), wf.hermite_family(4)).converged
+    assert solver._assembly_tables.cache_info().currsize <= 2
 
 
 def test_tables_die_with_their_map():
     dm = _map(9)
     rule = wf.gauss_legendre(wf.required_points(4))
-    wf.assemble_jacobian(make_problem(30.0, 15.0), dm, np.zeros(dm.n_global), rule)
-    tables = solver._assembly_tables(dm, rule, np.dtype(np.float64))
-    refs = [weakref.ref(t) for t in (tables.v, tables.pairs, tables.test)]
-    map_ref = weakref.ref(dm)
-    count = len(solver._MAP_TABLES)
-    del dm, tables
+    prob = make_problem(30.0, 15.0)
+    wf.assemble_residual(prob, dm, np.zeros(dm.n_global, dtype=np.longdouble), rule)
+    wf.assemble_jacobian(prob, dm, np.zeros(dm.n_global), rule)
+    refs = _table_refs(dm, rule)
+    del dm
+    _solve_twice_elsewhere()
     gc.collect()
-    assert map_ref() is None
-    assert len(solver._MAP_TABLES) < count
     assert all(ref() is None for ref in refs)
 
 
@@ -100,4 +115,9 @@ def test_inf_norm_matches_dense(k, n_kind):
 def test_newton_solve_drops_its_tables():
     fem = wf.newton_solve(make_problem(30.0, 15.0), wf.build_mesh(20), wf.hermite_family(4))
     assert fem.converged
-    assert fem.dofmap not in solver._MAP_TABLES  # the solution keeps its map, not the tables
+    assert solver._assembly_tables.cache_info().currsize <= 2
+    refs = _table_refs(fem.dofmap, wf.gauss_legendre(wf.required_points(4)))
+    del fem
+    _solve_twice_elsewhere()  # a map two solves old, and its tables, are collectable
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -127,21 +127,32 @@ def test_out_of_band_write_rejected():
 
 
 def test_dofmaps_and_solutions_compare_by_identity():
+    # equal contents, but each object may own derived tables or key a cache
     mesh, family = wf.build_mesh(3), wf.hermite_family(3)
     a = wf.build_dofmap(mesh, family, wf.jh_constraints())
     b = wf.build_dofmap(mesh, family, wf.jh_constraints())
-    assert a == a and not (a != a)
-    assert a != b  # equal contents, but each map has its own derived tables
-    assert len({a, b, a}) == 2 and hash(a) == hash(a)
-    fem = wf.FemSolution(a, np.zeros(a.n_global), True, 0, 0.0)
-    twin = wf.FemSolution(a, np.zeros(a.n_global), True, 0, 0.0)
-    assert fem == fem and fem != twin
-    assert len({fem, twin}) == 2
+    t = np.linspace(0.0, 1.0, 4)
+    prob = wf.JhProblem(30.0, 0.25)
+    rule = wf.gauss_legendre(3)
+    pairs = [
+        (a, b),
+        (wf.FemSolution(a, np.zeros(a.n_global), True, 0, 0.0),
+         wf.FemSolution(a, np.zeros(a.n_global), True, 0, 0.0)),
+        (mesh, wf.build_mesh(3)),
+        (wf.eval_family(family, t), wf.eval_family(family, t)),
+        (wf.ReferenceSolution(prob, 1.0, t, np.zeros((4, 3)), 0.0, None),
+         wf.ReferenceSolution(prob, 1.0, t, np.zeros((4, 3)), 0.0, None)),
+        (rule, wf.QuadratureRule(rule.points, rule.weights, rule.exactness)),
+    ]
+    for x, twin in pairs:
+        assert x == x and not (x != x)
+        assert x != twin
+        assert len({x, twin, x}) == 2 and hash(x) == hash(x)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
 def test_free_mask_is_false_exactly_at_the_prescribed_dofs(family):
-    bcs = wf.jh_constraints() if family.per_node == 2 else wf.model_constraints()
+    bcs = wf.jh_constraints() if family.kind == wf.HERMITE else wf.model_constraints()
     for n in (1, 4):
         mesh = wf.build_mesh(n)
         for dm in (wf.build_dofmap(mesh, family, bcs), wf.build_dofmap(mesh, family)):

@@ -441,7 +441,7 @@ def test_quadrature_fields_tables_match_eval_family(family, dtype):
     coeffs = np.random.default_rng(family.degree).standard_normal(dm.n_global).astype(dtype)
     expected = _tables_from_eval_family(family, rule, 1.0 / n, dtype)
     for _ in range(2):  # the second call reads the cached reference tables
-        tables, (f, fp) = solver.quadrature_fields(dm, coeffs, rule, 1.0 / n)
+        tables, (f, fp) = solver.quadrature_fields(dm, coeffs, rule)
         for got, want in zip(tables, expected):
             assert (got is None) == (want is None)
             if want is not None:
@@ -465,7 +465,7 @@ def test_evaluate_matches_quadrature_fields(family, n):
     rule = wf.QuadratureRule(points, np.full(8, 1 / 8), 1)
     coeffs = np.random.default_rng(n).standard_normal(dm.n_global)
     n_derivs = 2 if family.kind == wf.HERMITE else 1
-    tables, fields = solver.quadrature_fields(dm, coeffs, rule, 1.0 / n, n_derivs)
+    tables, fields = solver.quadrature_fields(dm, coeffs, rule, n_derivs)
     # only points whose element and local coordinate survive eta * n exactly
     elem = np.arange(n)[:, None]
     eta = (elem + rule.points) / n
@@ -481,12 +481,24 @@ def test_evaluate_matches_quadrature_fields(family, n):
 
 def test_cached_reference_tables_are_read_only():
     rule = wf.gauss_legendre(5)
-    shapes = solver._reference_tables(
-        wf.hermite_family(3), rule.points.tobytes(), np.dtype(np.longdouble)
-    )
+    shapes = solver._reference_tables(wf.hermite_family(3), rule, np.dtype(np.longdouble))
     for table in (shapes.values, shapes.first_derivs, shapes.second_derivs):
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
+    for n in range(1, wf.quadrature.MAX_POINTS + 1):  # the tables are keyed on the rule itself
+        rule = wf.gauss_legendre(n)
+        for array in (rule.points, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_reference_tables_stay_bounded_for_rules_built_per_call():
+    g = wf.gauss_legendre(8)
+    for _ in range(200):  # rules key by identity: each one is a new entry
+        rule = wf.QuadratureRule(g.points, g.weights, g.exactness)
+        solver._reference_tables(wf.hermite_family(4), rule, np.dtype(np.float64))
+    info = solver._reference_tables.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_newton_solve_tabulates_once_per_dtype(monkeypatch):
