@@ -37,7 +37,7 @@ from .solver import (
 
 CSV_FMT = "{:.16e}"  # 17 significant digits
 PRETTY_FMT = "{:.10e}"  # 11 significant digits
-MAX_ETA_STEPS = 10**6  # `table` rows are bounded before the solve
+MAX_ROWS = 10**6  # `table` and `fields` rows are bounded before the solve
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -54,8 +54,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # `run` reports it as a usage error
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -100,20 +103,16 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# JSON key of each setting "config" echoes, by argparse attribute, in output order
-CONFIG_KEYS = {
-    "re": "re", "alpha_deg": "alpha_deg", "order": "order", "nelem": "n_elem",
-    "newton_tol": "newton_tol", "shoot_tol": "shoot_tol", "output": "output",
-    "out": "out_path", "orders": "orders", "nelems": "nelems", "formulation": "formulation",
-}
+JSON_NAMES = {"nelem": "n_elem", "out": "out_path"}  # the "config" keys not named as flags
 
 
 def _json_text(args, **body) -> str:
-    """One JSON document: the settings the command takes under "config", then `body`."""
+    """One JSON document: under "config" the command and each flag it takes, in the
+    order the subcommand declares them, then `body`."""
     config = {"command": args.command}
-    for attr, key in CONFIG_KEYS.items():
-        if hasattr(args, attr):
-            config[key] = getattr(args, attr)
+    for action in args.parser._actions:
+        if action.dest != "help":
+            config[JSON_NAMES.get(action.dest, action.dest)] = getattr(args, action.dest)
     return json.dumps({"config": config, **body}, indent=2) + "\n"
 
 
@@ -182,10 +181,10 @@ def cmd_table(args) -> int:
     if not 0.0 < args.eta_step <= 1.0:
         return _usage_error(f"--eta-step must lie in (0, 1], got {args.eta_step}")
     n_steps = 1.0 / args.eta_step
-    if n_steps > MAX_ETA_STEPS:  # also catches 1 / 5e-324 = inf
+    if n_steps > MAX_ROWS:  # also catches 1 / 5e-324 = inf
         return _usage_error(
-            f"--eta-step must be at least {1 / MAX_ETA_STEPS:g} "
-            f"(at most {MAX_ETA_STEPS} steps), got {args.eta_step}"
+            f"--eta-step must be at least {1 / MAX_ROWS:g} "
+            f"(at most {MAX_ROWS} steps), got {args.eta_step}"
         )
     n_rows = round(n_steps)
     if abs(n_steps - n_rows) > 1e-9 * n_steps:
@@ -268,6 +267,8 @@ def cmd_fields(args) -> int:
         return _usage_error(f"--pin must be finite, got {args.pin}")
     if args.nr < 1 or args.ntheta < 2:
         return _usage_error("need nr >= 1 and ntheta >= 2")
+    if args.nr * args.ntheta > MAX_ROWS:
+        return _usage_error(f"need nr * ntheta <= {MAX_ROWS} points, got {args.nr * args.ntheta}")
     fluid = FluidProps(nu=args.nu, rho=args.rho)
     problem = JhProblem(args.re, math.radians(args.alpha_deg), fluid)
     fem = _fem_solve(problem, args.order, args.nelem, args.opts)

@@ -62,8 +62,36 @@ class DofMap:
 
     @cached_property
     def column_slices(self) -> tuple[list, int, int]:
-        """`column_slices` of `element_dofs`, computed once per map."""
-        return column_slices(self.element_dofs)
+        """(first, stride, span) such that column a of `element_dofs` is the
+        global index slice first[a] : first[a] + span : stride.
+
+        Element-by-element numbering gives every row as row 0 plus e * stride;
+        any other table raises ValueError.
+        """
+        dofs, n_elem = self.element_dofs, self.n_elem
+        stride = int(dofs[1, 0] - dofs[0, 0]) if n_elem > 1 else 1
+        if stride < 1 or not (dofs[1:] - dofs[:-1] == stride).all():
+            raise ValueError("element DOF rows must repeat with a fixed positive stride")
+        return dofs[0].tolist(), stride, stride * (n_elem - 1) + 1
+
+    @cached_property
+    def pair_slices(self) -> list[tuple[int, slice]]:
+        """[(i - j, columns j)] for each local pair (a, b), a major: entry
+        (element_dofs[e, a], element_dofs[e, b]) of every element e lies on the
+        diagonal i - j at one strided slice of columns j."""
+        first, stride, span = self.column_slices
+        if max(first) - min(first) > self.half_bandwidth:
+            raise ValueError("element DOFs span more than the half-bandwidth")
+        return [(row - col, slice(col, col + span, stride)) for row in first for col in first]
+
+    @cached_property
+    def fixed_band(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i - j, j) of every entry (i, j) with |i - j| <= `half_bandwidth` in the
+        prescribed rows i: all the entries of those rows that elements can reach."""
+        i = self.fixed[:, None]
+        j = i + np.arange(-self.half_bandwidth, self.half_bandwidth + 1)
+        inside = (j >= 0) & (j < self.n_global)
+        return (i - j)[inside], j[inside]
 
     def scatter_add(self, out: np.ndarray, local: np.ndarray):
         """Add local[e, a] to out[element_dofs[e, a]] for every element e.
@@ -89,20 +117,6 @@ class DofMap:
         """Global indices of the `kind` DOF at every mesh node, left to right."""
         left = self.element_dofs[:, _node_index(self.family, kind, 0)[1]]
         return np.append(left, self.endpoint(kind, 1))
-
-
-def column_slices(element_dofs: np.ndarray) -> tuple[list, int, int]:
-    """(first, stride, span) such that column a of `element_dofs` is the
-    global index slice first[a] : first[a] + span : stride.
-
-    Element-by-element numbering gives every row as row 0 plus e * stride;
-    any other table raises ValueError.
-    """
-    n_elem = element_dofs.shape[0]
-    stride = int(element_dofs[1, 0] - element_dofs[0, 0]) if n_elem > 1 else 1
-    if stride < 1 or not (element_dofs[1:] - element_dofs[:-1] == stride).all():
-        raise ValueError("element DOF rows must repeat with a fixed positive stride")
-    return element_dofs[0].tolist(), stride, stride * (n_elem - 1) + 1
 
 
 def _node_index(family: ElementFamily, kind: str, side: int) -> tuple[int, int]:

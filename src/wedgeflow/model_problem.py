@@ -89,14 +89,14 @@ def assemble_model(cfg: ModelConfig, dofmap, rule):
         w = dx + v
         block = np.einsum("jq,iq,q->ij", w, w, wts) * h
         test = w
-    ele = dofmap.element_dofs
-    mat.add_elements(ele, block)
+    local = np.repeat(block[None], n, axis=0)
+    if cfg.formulation == GALERKIN:  # the outflow term phi_j(1) phi_i(1) is the last element's
+        end = eval_hierarchic(cfg.degree, np.array([1.0], dtype=_LD)).values[:, 0]
+        local[-1] += np.outer(end, end)
+    mat.add_elements(dofmap, local)
     x = (np.arange(n, dtype=_LD)[:, None] + pts[None, :]) * h
     g = forcing(x)
     dofmap.scatter_add(rhs, np.einsum("nq,iq,q->ni", g, test, wts) * h)
-    if cfg.formulation == GALERKIN:
-        end = eval_hierarchic(cfg.degree, np.array([1.0], dtype=_LD)).values[:, 0]
-        mat.add_elements(ele[-1:], np.outer(end, end))
     return mat, rhs
 
 
@@ -114,8 +114,7 @@ def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolut
     mat, rhs = assemble_model(cfg, dofmap, rule)
     jac = BandedMatrix(mat.n, mat.k, dtype=np.float64)
     jac.data[:] = mat.data.astype(np.float64)
-    for i in dofmap.fixed:
-        jac.set_identity_row(i)
+    jac.set_identity_rows(dofmap)
 
     def res_fn(c):
         out = mat.matvec(c) - rhs

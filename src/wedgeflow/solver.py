@@ -17,9 +17,9 @@ tolerance on fine meshes.  Residuals follow the dtype of the iterate they are
 given: `newton_loop` evaluates them on a float64 copy while it is still far
 from the root, where the float64 floor (about 1e-9 on fine meshes) lies far
 below the residual, and in longdouble for the last steps and every stop
-decision.  Everything the assemblers need that depends only on the DofMap
-(basis, pair and test tables, band slices) is built once per map, rule and
-dtype (`_assembly_tables`); each call then runs a few large `np.dot` products,
+decision.  The assemblers' tables are built once per map, rule and dtype
+(`_assembly_tables`), the map's band layout once per map (`DofMap.pair_slices`,
+`DofMap.fixed_band`); each call then runs a few large `np.dot` products,
 which, unlike `@`, have a fast loop for longdouble.  `solve_banded` hands
 LAPACK one Fortran-ordered copy of the band to factorise in place.
 """
@@ -37,7 +37,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 import numpy as np
 
 from .basis import HERMITE, ElementFamily, ShapeEval, eval_family
-from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, column_slices, jh_constraints
+from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, jh_constraints
 from .quadrature import QuadratureRule, gauss_legendre, required_points
 
 _LD = np.longdouble
@@ -90,7 +90,9 @@ class BandedMatrix:
     """Square banded matrix in LAPACK general-band storage (kl = ku = k).
 
     Entry (i, j) lives at data[2k + i - j, j]; the top k rows are fill-in
-    workspace for the LU factorisation.
+    workspace for the LU factorisation.  Entries enter in two ways, both laid
+    out by a DofMap: element blocks through `add_elements` and prescribed rows
+    through `set_identity_rows`.
     """
 
     def __init__(self, n: int, k: int, dtype=np.float64):
@@ -98,34 +100,34 @@ class BandedMatrix:
         self.k = k
         self.data = np.zeros((3 * k + 1, n), dtype=dtype)
 
-    def add_at(self, rows, cols, values):
-        """Scatter-add entries; all |rows - cols| must be within the band."""
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        if np.any(np.abs(rows - cols) > self.k):
-            raise ValueError("entry outside declared half-bandwidth")
-        np.add.at(self.data, (2 * self.k + rows - cols, cols), values)
+    def add_elements(self, dofmap: DofMap, local: np.ndarray):
+        """Scatter-add local[e, a, b] at (dofs[e, a], dofs[e, b]), dofs = `dofmap.element_dofs`.
 
-    def add_elements(self, element_dofs: np.ndarray, local: np.ndarray, slices=None):
-        """Scatter-add local[e, a, b] at (element_dofs[e, a], element_dofs[e, b]).
-
-        `local` is (n_elem, m, m) or one (m, m) block shared by every element.
-        Each local pair (a, b) is one strided slice of band row
-        2k + dofs[a] - dofs[b] (`slices`, by default their `band_slices`).  A
-        band entry gets at most two contributions, from neighbouring elements,
-        so the sum is exact in any order; it keeps the dtype of `data`.
+        `local` is (n_elem, m, m).  Each local pair (a, b) is one strided slice
+        of a band row (`DofMap.pair_slices`).  A band entry gets at most two
+        contributions, from neighbouring elements, so the sum is exact in any
+        order; it keeps the dtype of `data`.
         """
-        if slices is None:
-            slices = band_slices(column_slices(element_dofs), self.k)
-        m = element_dofs.shape[1]
-        local = np.broadcast_to(local, element_dofs.shape + (m,))
-        for j, (row, cols) in enumerate(slices):
-            self.data[row, cols] += local[:, j // m, j % m]
+        self._check_fits(dofmap)
+        m = dofmap.element_dofs.shape[1]
+        for j, (d, cols) in enumerate(dofmap.pair_slices):
+            self.data[2 * self.k + d, cols] += local[:, j // m, j % m]
 
-    def set_identity_row(self, i: int):
-        j = np.arange(max(0, i - self.k), min(self.n, i + self.k + 1))
-        self.data[2 * self.k + i - j, j] = 0.0
-        self.data[2 * self.k, i] = 1.0
+    def set_identity_rows(self, dofmap: DofMap):
+        """Make each prescribed row i of `dofmap` the identity row e_i.
+
+        Zeroes the row's entries within the map's half-bandwidth, all that
+        `add_elements` can write there (`DofMap.fixed_band`), and sets a_ii = 1.
+        """
+        self._check_fits(dofmap)
+        d, j = dofmap.fixed_band
+        self.data[2 * self.k + d, j] = 0.0
+        self.data[2 * self.k, dofmap.fixed] = 1.0
+
+    def _check_fits(self, dofmap: DofMap):
+        if dofmap.n_global != self.n or dofmap.half_bandwidth > self.k:
+            raise ValueError(f"map (n={dofmap.n_global}, k={dofmap.half_bandwidth}) does not "
+                             f"fit the band (n={self.n}, k={self.k})")
 
     def _diagonals(self):
         """(rows, cols, entries) of each diagonal d = row - col, d = -k..k,
@@ -155,16 +157,6 @@ class BandedMatrix:
         for rows, _cols, entries in self._diagonals():
             rowsum[rows] += np.abs(entries).astype(np.float64, copy=False)
         return float(rowsum.max()) if self.n else 0.0
-
-
-def band_slices(columns: tuple, k: int) -> list:
-    """[(band row, column slice)] holding entry (dofs[e, a], dofs[e, b]) of
-    every element e, for each local pair (a, b), a major, in the band
-    storage of half-bandwidth k; `columns` is the `column_slices` of dofs."""
-    first, stride, span = columns
-    if max(first) - min(first) > k:
-        raise ValueError("entry outside declared half-bandwidth")
-    return [(2 * k + row - col, slice(col, col + span, stride)) for row in first for col in first]
 
 
 @lru_cache(maxsize=None)
@@ -287,16 +279,16 @@ def quadrature_fields(
     return tables, tuple(np.dot(ce, t) for t in tables[: n_derivs + 1])
 
 
-_Tables = namedtuple("_Tables", "v d1 weights test pairs const slices identity", defaults=(None,) * 4)
+_Tables = namedtuple("_Tables", "v d1 weights test pairs const", defaults=(None,) * 2)
 
 
 @lru_cache(maxsize=2)
 def _assembly_tables(dofmap: DofMap, rule: QuadratureRule, dtype: np.dtype) -> _Tables:
     """The assemblers' tables that depend only on (dofmap, rule, dtype): v, d1, weights and
     the residual's [d2; v]^T h in `dtype` at h = 1 / n_elem; for the Jacobian, in float64,
-    P, D, `band_slices` and the prescribed rows' band entries.  A Newton solve uses two sets,
-    float64 and longdouble, so it builds each once, and at most two outlive it."""
-    family, k, n = dofmap.family, dofmap.half_bandwidth, dofmap.n_elem
+    P and D.  A Newton solve uses two sets, float64 and longdouble, so it builds each once,
+    and at most two outlive it."""
+    family, n = dofmap.family, dofmap.n_elem
     if family.kind != HERMITE:
         raise ValueError("wedge-flow assembly requires the Hermite family")
     need = 3 * family.degree - 1
@@ -318,13 +310,7 @@ def _assembly_tables(dofmap: DofMap, rule: QuadratureRule, dtype: np.dtype) -> _
         pairs = pairs.reshape(2 * rule.weights.size, -1) * scale
         pairs[: rule.weights.size] *= h
         const = ((ref.second_derivs * rule.weights) @ rd1.T).ravel() * (scale / h**2)
-        # every in-band entry (i, j) of the prescribed rows i, at data[2k + i - j, j]
-        i = dofmap.fixed[:, None]
-        j = i + np.arange(-k, k + 1)
-        inside = (j >= 0) & (j < dofmap.n_global)
-        identity = ((2 * k + i - j)[inside], j[inside])
-        slices = band_slices(dofmap.column_slices, k)
-        tables = tables._replace(pairs=pairs, const=const, slices=slices, identity=identity)
+        tables = tables._replace(pairs=pairs, const=const)
     return tables
 
 
@@ -381,13 +367,12 @@ def assemble_jacobian(
     f *= tables.weights
     local = np.dot(np.concatenate([fp, f], axis=1), tables.pairs)
     local += tables.const
-    n, m = dofmap.element_dofs.shape
+    local = local.reshape(*dofmap.element_dofs.shape, -1)
+    s1 = dofmap.family.per_node + 1  # local index of the right node's slope: f'(1) on the last
+    local[-1, s1, s1] -= 1.0  # boundary term -f'(1) phi_i'(1)
     mat = BandedMatrix(dofmap.n_global, dofmap.half_bandwidth)
-    mat.add_elements(dofmap.element_dofs, local.reshape(n, m, m), tables.slices)
-    s1 = dofmap.endpoint(SLOPE, 1)
-    mat.data[2 * mat.k, s1] -= 1.0  # boundary term -f'(1) phi_i'(1)
-    mat.data[tables.identity] = 0.0
-    mat.data[2 * mat.k, dofmap.fixed] = 1.0
+    mat.add_elements(dofmap, local)
+    mat.set_identity_rows(dofmap)
     return mat
 
 

@@ -82,6 +82,46 @@ def test_bad_arguments_exit_two(capsys, argv):
         assert "--eta-step" in err
 
 
+class _Solved(Exception):
+    """Raised by a patched `_fem_solve`: the command got past its argument checks."""
+
+
+def _no_solve(*_args):
+    raise _Solved
+
+
+def test_fields_rows_are_bounded_before_the_solve(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_fem_solve", _no_solve)
+    fields = ["fields", "--r1", "1", "--r2", "2", "--nu", "1e-3", "--rho", "1.0"]
+    rc, out, err = run_capture(capsys, fields + ["--nr", "100000", "--ntheta", "100000"])
+    assert (rc, out) == (2, "")
+    assert err == "error: need nr * ntheta <= 1000000 points, got 10000000000\n"
+    with pytest.raises(_Solved):  # 10**6 points pass
+        wf.run(fields + ["--nr", "1000", "--ntheta", "1000"])
+    # `table` applies the same bound to its steps, with its own message
+    rc, out, err = run_capture(capsys, ["table", "--eta-step", "1e-9"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --eta-step must be at least 1e-06 (at most 1000000 steps), got 1e-09\n"
+
+
+SMALL_SOLVE = ["solve", "--nelem", "8", "--order", "3"]
+SMALL_MODEL = ["model", "--orders", "1", "--nelems", "4,8,16"]
+
+
+@pytest.mark.parametrize(
+    "argv, out, written, reason",
+    [
+        (SMALL_SOLVE, "no-dir/x.csv", "no-dir/x.csv", "No such file or directory"),
+        (SMALL_SOLVE, ".", ".", "Is a directory"),
+        (SMALL_MODEL, "no-dir/m.csv", "no-dir/m_galerkin_p1.csv", "No such file or directory"),
+    ],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, out, written, reason):
+    rc, stdout, err = run_capture(capsys, argv + ["--out", str(tmp_path / out)])
+    assert (rc, stdout) == (2, "")
+    assert err == f"error: cannot write {tmp_path / written}: {reason}\n"
+
+
 def _unconverged_solution():
     return wf.FemSolution(
         dofmap=wf.build_dofmap(wf.build_mesh(4), wf.hermite_family(3)),
@@ -241,6 +281,30 @@ def test_reference_json_config_echo(capsys):
         ("output", "json"),
         ("out_path", None),
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SMALL_SOLVE,
+        ["reference"],
+        ["table", "--nelem", "8", "--order", "3", "--eta-step", "0.5"],
+        ["convergence", "--orders", "3", "--nelems", "4,8,16"],
+        SMALL_MODEL,
+        ["fields", "--nelem", "8", "--order", "3", "--r1", "1", "--r2", "2", "--nr", "1",
+         "--ntheta", "2", "--nu", "1", "--rho", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_config_echoes_exactly_the_flags_a_command_takes(capsys, argv):
+    _rc, usage, _err = run_capture(capsys, [argv[0], "--help"])
+    flags = dict.fromkeys(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", usage))  # usage order
+    del flags["--help"]
+    names = [flag[2:].replace("-", "_") for flag in flags]
+    rc, out, _err = run_capture(capsys, argv + ["--output", "json"])
+    assert rc == 0
+    renamed = {"nelem": "n_elem", "out": "out_path"}
+    assert list(json.loads(out)["config"]) == ["command"] + [renamed.get(n, n) for n in names]
 
 
 def test_solve_closed_form_coarse_mesh(capsys):

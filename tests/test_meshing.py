@@ -121,9 +121,15 @@ def test_assembled_band_respects_declared_bandwidth():
 
 
 def test_out_of_band_write_rejected():
-    mat = wf.BandedMatrix(6, 1)
-    with pytest.raises(ValueError):
-        mat.add_at([0], [3], [1.0])
+    # one cubic Hermite element: 4 DOFs, half-bandwidth 3, all four prescribed
+    bcs = {(kind, side): 0.0 for kind in (VALUE, SLOPE) for side in (0, 1)}
+    dm = wf.build_dofmap(wf.build_mesh(1), wf.hermite_family(3), bcs)
+    mat = wf.BandedMatrix(4, 1)
+    with pytest.raises(ValueError, match="does not fit the band"):
+        mat.add_elements(dm, np.ones((1, 4, 4)))
+    with pytest.raises(ValueError, match="does not fit the band"):
+        mat.set_identity_rows(dm)
+    assert not mat.data.any()
 
 
 def test_dofmaps_and_solutions_compare_by_identity():

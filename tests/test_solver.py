@@ -26,16 +26,44 @@ SINGLE_ELEMENT_RESIDUAL = [
 ]
 
 
+def _dofmap(table, n_global, half_bandwidth):
+    """A DofMap over a hand-made element table, with no prescribed DOFs."""
+    table = np.array(table)
+    no_dofs = np.array([], dtype=np.intp)
+    family = wf.hierarchic_family(table.shape[1] - 1)
+    return wf.DofMap(family, table, n_global, half_bandwidth, no_dofs, no_dofs.astype(float))
+
+
+def banded_from_dense(dense: np.ndarray, k: int) -> wf.BandedMatrix:
+    """`dense` (zero outside |i - j| <= k) as a BandedMatrix of half-bandwidth k,
+    entered through `add_elements` on a map whose element e holds DOFs e..e+k.
+    Each entry is put in exactly one element, so the band holds it bit for bit."""
+    n = dense.shape[0]
+    n_elem = n - k
+    dofmap = _dofmap(np.arange(n_elem)[:, None] + np.arange(k + 1), n, k)
+    local = np.zeros((n_elem, k + 1, k + 1), dtype=dense.dtype)
+    for i, j in zip(*np.nonzero(dense)):
+        e = min(i, j, n_elem - 1)
+        local[e, i - e, j - e] = dense[i, j]
+    mat = wf.BandedMatrix(n, k, dtype=dense.dtype)
+    mat.add_elements(dofmap, local)
+    assert np.array_equal(mat.to_dense(), dense)
+    return mat
+
+
+def random_band(rng, n, k, diagonal_shift=0.0) -> np.ndarray:
+    i, j = np.indices((n, n))
+    return np.where(np.abs(i - j) <= k, rng.standard_normal((n, n)), 0.0) + diagonal_shift * np.eye(n)
+
+
 def test_banded_identity_solve():
-    mat = wf.BandedMatrix(4, 1)
-    mat.add_at(np.arange(4), np.arange(4), np.ones(4))
+    mat = banded_from_dense(np.eye(4), 1)
     b = np.array([3.0, -1.0, 0.5, 2.0])
     np.testing.assert_allclose(wf.solve_banded(mat, b), b, atol=0)
 
 
 def test_banded_2x2_solve():
-    mat = wf.BandedMatrix(2, 1)
-    mat.add_at([0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 3.0])
+    mat = banded_from_dense(np.array([[2.0, 1.0], [1.0, 3.0]]), 1)
     x = wf.solve_banded(mat, np.array([3.0, 4.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
@@ -43,13 +71,7 @@ def test_banded_2x2_solve():
 def test_banded_random_diagonally_dominant():
     rng = np.random.default_rng(3)
     n, k = 50, 4
-    mat = wf.BandedMatrix(n, k)
-    for d in range(-k, k + 1):
-        j0, j1 = max(0, -d), min(n, n - d)
-        vals = rng.standard_normal(j1 - j0)
-        if d == 0:
-            vals = vals + 2.0 * (2 * k + 1)
-        mat.add_at(np.arange(j0, j1) + d, np.arange(j0, j1), vals)
+    mat = banded_from_dense(random_band(rng, n, k, 2.0 * (2 * k + 1)), k)
     b = rng.standard_normal(n)
     x = wf.solve_banded(mat, b)
     resid = np.max(np.abs(mat.matvec(x) - b))
@@ -59,19 +81,15 @@ def test_banded_random_diagonally_dominant():
 
 def test_banded_matvec_matches_dense():
     rng = np.random.default_rng(11)
-    mat = wf.BandedMatrix(9, 2)
-    for d in range(-2, 3):
-        j0, j1 = max(0, -d), min(9, 9 - d)
-        mat.add_at(np.arange(j0, j1) + d, np.arange(j0, j1), rng.standard_normal(j1 - j0))
+    dense = random_band(rng, 9, 2)
+    mat = banded_from_dense(dense, 2)
     x = rng.standard_normal(9)
-    np.testing.assert_allclose(mat.matvec(x), mat.to_dense() @ x, atol=1e-14)
+    np.testing.assert_allclose(mat.matvec(x), dense @ x, atol=1e-14)
 
 
 def test_banded_singular_names_pivot():
-    mat = wf.BandedMatrix(3, 1)
-    mat.add_at([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 4.0])  # rank-deficient
-    mat.add_at([2], [2], [1.0])
-    with pytest.raises(wf.SingularMatrixError) as exc:
+    mat = banded_from_dense(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]), 1)
+    with pytest.raises(wf.SingularMatrixError) as exc:  # rank-deficient
         wf.solve_banded(mat, np.ones(3))
     assert "pivot at index" in str(exc.value)
 
@@ -101,8 +119,9 @@ rule = wf.gauss_legendre(wf.required_points(4))
 coeffs = wf.poiseuille_guess(dofmap, np.float64)
 jac = wf.assemble_jacobian(problem, dofmap, coeffs, rule)
 x = wf.solve_banded(jac, -wf.assemble_residual(problem, dofmap, coeffs, rule))
-singular = wf.BandedMatrix(3, 1)
-singular.add_at([0, 0, 1, 1, 2], [0, 1, 0, 1, 2], [1.0, 2.0, 2.0, 4.0, 1.0])
+line = wf.build_dofmap(wf.build_mesh(2), wf.hierarchic_family(1))  # two elements, three DOFs
+singular = wf.BandedMatrix(3, 1)  # rank-deficient: rows (1, 2, 0), (2, 4, 0), (0, 0, 1)
+singular.add_elements(line, np.array([[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 1.0]]]))
 try:
     wf.solve_banded(singular, np.ones(3))
     error = None
@@ -149,11 +168,14 @@ def test_max_iter_zero_evaluates_the_guess_once():
     assert len(fem.norm_history) == 1 and 0.0 < fem.final_residual_norm < np.inf
 
 
-def _add_at_loop(mat, element_dofs, local):
-    """Reference scatter: one add_at per local (a, b) entry."""
+def _add_at_loop(k, n_global, element_dofs, local):
+    """Reference band storage: np.add.at of every local (a, b) entry at data[2k + i - j, j]."""
+    data = np.zeros((3 * k + 1, n_global), dtype=local.dtype)
     for a in range(element_dofs.shape[1]):
         for b in range(element_dofs.shape[1]):
-            mat.add_at(element_dofs[:, a], element_dofs[:, b], local[:, a, b])
+            i, j = element_dofs[:, a], element_dofs[:, b]
+            np.add.at(data, (2 * k + i - j, j), local[:, a, b])
+    return data
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -164,19 +186,50 @@ def test_add_elements_matches_add_at_loop(family, n, dtype):
     p1 = family.degree + 1
     # division in `dtype` fills the longdouble mantissa beyond float64's
     local = np.random.default_rng(n).standard_normal((n, p1, p1)).astype(dtype) / dtype(3)
-    for blocks in (local, local[0]):  # per-element blocks, one shared block
-        ref = wf.BandedMatrix(dm.n_global, dm.half_bandwidth, dtype=dtype)
-        _add_at_loop(ref, dm.element_dofs, np.broadcast_to(blocks, local.shape))
-        mat = wf.BandedMatrix(dm.n_global, dm.half_bandwidth, dtype=dtype)
-        mat.add_elements(dm.element_dofs, blocks)
+    for k in (dm.half_bandwidth, dm.half_bandwidth + 2):  # the map's band and a wider one
+        mat = wf.BandedMatrix(dm.n_global, k, dtype=dtype)
+        mat.add_elements(dm, local)
         assert mat.data.dtype == np.dtype(dtype)
-        assert np.array_equal(mat.data, ref.data)
+        assert np.array_equal(mat.data, _add_at_loop(k, dm.n_global, dm.element_dofs, local))
+
+
+def _endpoint_keys(family):
+    kinds = (wf.VALUE, wf.SLOPE) if family.per_node == 2 else (wf.VALUE,)
+    return [(kind, side) for kind in kinds for side in (0, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
+def test_set_identity_rows_matches_dense_reference(family, n, dtype):
+    keys = _endpoint_keys(family)
+    p1 = family.degree + 1
+    local = np.random.default_rng(n).standard_normal((n, p1, p1)).astype(dtype) / dtype(3)
+    for chosen in range(2 ** len(keys)):  # every subset of the endpoint constraints
+        bcs = {key: 1.0 for bit, key in enumerate(keys) if chosen >> bit & 1}
+        dm = wf.build_dofmap(wf.build_mesh(n), family, bcs)
+        assert dm.fixed.size == len(bcs)
+        for k in (dm.half_bandwidth, dm.half_bandwidth + 2):  # the map's band and a wider one
+            mat = wf.BandedMatrix(dm.n_global, k, dtype=dtype)
+            mat.add_elements(dm, local)
+            expected = mat.to_dense()
+            expected[dm.fixed] = 0.0
+            expected[dm.fixed, dm.fixed] = 1.0  # each prescribed row becomes e_i
+            mat.set_identity_rows(dm)
+            assert np.array_equal(mat.to_dense(), expected)
+            assert not mat.data[:k].any()  # the LU fill-in rows stay empty
 
 
 def test_add_elements_rejects_out_of_band():
+    wide = _dofmap([[0, 3]], 6, 3)
+    for mat in (wf.BandedMatrix(6, 1), wf.BandedMatrix(5, 3)):  # too narrow, too small
+        with pytest.raises(ValueError, match="does not fit the band"):
+            mat.add_elements(wide, np.ones((1, 2, 2)))
+        assert not mat.data.any()
     mat = wf.BandedMatrix(6, 1)
-    with pytest.raises(ValueError):
-        mat.add_elements(np.array([[0, 3]]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="span more than the half-bandwidth"):
+        mat.add_elements(_dofmap([[0, 3]], 6, 1), np.ones((1, 2, 2)))  # declares too narrow a band
+    assert not mat.data.any()
 
 
 def test_fluid_props():
@@ -194,9 +247,9 @@ def test_fluid_props():
 )
 def test_add_elements_rejects_table_without_fixed_stride(bad):
     mat = wf.BandedMatrix(9, 3)
-    table = np.array(bad)
+    dm = _dofmap(bad, 9, 3)
     with pytest.raises(ValueError, match="fixed positive stride"):
-        mat.add_elements(table, np.ones(table.shape[1:] * 2))
+        mat.add_elements(dm, np.ones((len(bad), *np.shape(bad)[1:] * 2)))
     assert not mat.data.any()
 
 
