@@ -8,9 +8,10 @@ covers each solve's coefficients, Newton step count, stop reason and residual
 history, its L2/H1 errors against the shooting solution, and (f, f', f'') at
 17 equispaced points.
 
-Line 2: the argv, stdout, stderr and exit code of the 17 `wedgeflow`
-commands in CLI_RUNS (solve x6, table x2, fields, convergence x3, model x2,
-check x2 and reference), run in this process through `cli.run`.
+Line 2: the argv, stdout, stderr and exit code of the 21 `wedgeflow`
+commands in CLI_RUNS (solve x6, table x3, fields x3, convergence x3, model x2,
+check x2 and reference x2), run in this process through `cli.run`.  Between
+them they cover every format (csv, json, pretty) of the CLI's table writer.
 
 Two builds that print the same lines return the same results bit for bit on
 this grid and print the same bytes for these commands; a change that is
@@ -38,6 +39,8 @@ ERROR_RULE = wf.gauss_legendre(8)  # exactness 15 >= 2p + 4 for p <= 5
 
 ANCHOR = ["--re", "30", "--alpha-deg", "15"]
 REVERSE = ["--re", "-80", "--alpha-deg", "5"]
+FIELDS = ["fields", *ANCHOR, "--r1", "1", "--r2", "2", "--nr", "3", "--ntheta", "5",
+          "--nu", "1e-6", "--rho", "1000"]
 CLI_RUNS = (
     ["solve"],
     ["solve", *ANCHOR, "--order", "3", "--nelem", "2560"],
@@ -47,8 +50,10 @@ CLI_RUNS = (
     ["solve", *ANCHOR, "--order", "3", "--nelem", "7", "--output", "csv"],
     ["table", *ANCHOR],
     ["table", *REVERSE, "--order", "5", "--eta-step", "0.05", "--output", "csv"],
-    ["fields", *ANCHOR, "--r1", "1", "--r2", "2", "--nr", "3", "--ntheta", "5",
-     "--nu", "1e-6", "--rho", "1000"],
+    ["table", *ANCHOR, "--output", "json"],
+    FIELDS,
+    [*FIELDS, "--output", "csv"],
+    [*FIELDS, "--output", "json"],
     ["convergence"],
     ["convergence", *ANCHOR, "--orders", "3,4,5", "--nelems", "10,20,40"],
     ["convergence", *REVERSE, "--nelems", "20,40,80", "--output", "json"],
@@ -57,6 +62,7 @@ CLI_RUNS = (
     ["check"],
     ["check", *REVERSE, "--order", "5", "--nelem", "1280"],
     ["reference", *ANCHOR],
+    ["reference", *ANCHOR, "--output", "json"],
 )
 
 

@@ -35,29 +35,32 @@ class ConvergenceReport:
     slope_h1: float
 
 
-def _reference_evaluator(ref):
-    if isinstance(ref, ReferenceSolution):
-        return lambda x: evaluate_reference(ref, x)
-    if callable(ref):
-        return ref
-    raise TypeError("reference must be a ReferenceSolution or a callable x -> (f, f')")
+def _profile_at(solution, x) -> tuple:
+    """(f, f', ...) at the points `x` of a FemSolution, a ReferenceSolution, or a
+    callable mapping points to them."""
+    if isinstance(solution, ReferenceSolution):
+        return evaluate_reference(solution, x)
+    if isinstance(solution, FemSolution):
+        return solution.evaluate(x)
+    if callable(solution):
+        return solution(x)
+    raise TypeError("solution must be a FemSolution, ReferenceSolution or callable x -> (f, f')")
 
 
 def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
     """Measure ||f_h - f_ref|| in L2 and full H1 by element-wise quadrature.
 
-    `ref` is a shooting ReferenceSolution or any callable mapping points in
-    [0, 1] to at least (f, f') values.
+    `ref` is a FemSolution, a shooting ReferenceSolution or any callable
+    mapping points in [0, 1] to at least (f, f') values.
     """
     p = fem.family.degree
     if rule.exactness < 2 * p + 4:
         raise ValueError(f"rule exactness {rule.exactness} below 2p + 4 = {2 * p + 4}")
-    evaluator = _reference_evaluator(ref)
     n = fem.dofmap.n_elem
     h = 1.0 / n
     _, (fh, fph) = quadrature_fields(fem.dofmap, fem.coeffs, rule)
     x = (np.arange(n)[:, None] + rule.points[None, :]) * h
-    ref_vals = evaluator(x.ravel())
+    ref_vals = _profile_at(ref, x.ravel())
     fr = np.asarray(ref_vals[0]).reshape(n, -1)
     fpr = np.asarray(ref_vals[1]).reshape(n, -1)
     w = rule.weights
@@ -119,20 +122,13 @@ class WedgeFieldConfig:
             raise ValueError("lambda inconsistent with Re * nu / alpha")
 
 
-def _profile_evaluator(solution):
-    if isinstance(solution, ReferenceSolution):
-        return lambda x: np.atleast_1d(evaluate_reference(solution, x)[0])
-    if isinstance(solution, FemSolution):
-        return lambda x: solution.evaluate(x)[0]
-    raise TypeError("solution must be a FemSolution or ReferenceSolution")
-
-
 def wedge_fields(cfg: WedgeFieldConfig, solution, points) -> np.ndarray:
     """Evaluate (u_r, p) at (r, theta) samples inside the wedge.
 
     u_r = (lambda / r) f(theta/alpha) and
     p = p* + (2 mu lambda / r^2) (f(theta/alpha) + K); the profile is even in
-    theta, so only |theta|/alpha is evaluated.
+    theta, so only |theta|/alpha is evaluated.  `solution` is any profile
+    `error_norms` takes as its reference.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != 2:
@@ -144,7 +140,7 @@ def wedge_fields(cfg: WedgeFieldConfig, solution, points) -> np.ndarray:
     if np.any(np.abs(theta) > cfg.problem.alpha * (1 + 1e-14)):
         raise ValueError("theta outside the wedge |theta| <= alpha")
     eta = np.minimum(np.abs(theta) / cfg.problem.alpha, 1.0)
-    f = _profile_evaluator(solution)(eta)
+    f = _profile_at(solution, eta)[0]
     u_r = cfg.lam * f / r
     mu = cfg.fluid.mu
     p = cfg.p_star + (2.0 * mu * cfg.lam / r**2) * (f + cfg.K)

@@ -96,10 +96,23 @@ def _fem_solve(problem: JhProblem, order: int, nelem: int, opts: SolverOptions):
     return fem
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(CSV_FMT.format(v) if isinstance(v, float) else str(v) for v in row))
+def _rows(columns: dict):
+    """The rows, as tuples of Python numbers, of a table of named columns (each a
+    scalar, a list or an array)."""
+    return zip(*(np.atleast_1d(c).tolist() for c in columns.values()))
+
+
+def _cell(value, fmt: str) -> str:
+    return fmt.format(value) if isinstance(value, float) else str(value)
+
+
+def _records(columns: dict) -> list[dict]:
+    return [dict(zip(columns, row)) for row in _rows(columns)]
+
+
+def _csv_text(columns: dict) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(v, CSV_FMT) for v in row) for row in _rows(columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -116,19 +129,18 @@ def _json_text(args, **body) -> str:
     return json.dumps({"config": config, **body}, indent=2) + "\n"
 
 
-def _rows_text(header: list[str], rows: list[list], args) -> str:
+def _table_text(columns: dict, args) -> str:
+    """The table in the format `--output` names: csv, json rows, or aligned columns."""
     if args.output == "csv":
-        return _csv_text(header, rows)
+        return _csv_text(columns)
     if args.output == "json":
-        return _json_text(args, rows=[dict(zip(header, row)) for row in rows])
-    widths = [max(len(h), 18) for h in header]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        cells = [
-            (PRETTY_FMT.format(v) if isinstance(v, float) else str(v)).rjust(w)
-            for v, w in zip(row, widths)
-        ]
-        lines.append("  ".join(cells))
+        return _json_text(args, rows=_records(columns))
+    widths = [max(len(name), 18) for name in columns]
+    lines = ["  ".join(name.rjust(w) for name, w in zip(columns, widths))]
+    lines += [
+        "  ".join(_cell(v, PRETTY_FMT).rjust(w) for v, w in zip(row, widths))
+        for row in _rows(columns)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -136,44 +148,26 @@ def cmd_solve(args) -> int:
     problem = _problem(args)
     fem = _fem_solve(problem, args.order, args.nelem, args.opts)
     fp1 = fem.fp_right()
-    k_val = compute_K(problem, fp1)
-    header = [
-        "re",
-        "alpha_deg",
-        "order",
-        "n_elem",
-        "n_dofs",
-        "n_constrained",
-        "newton_iters",
-        "residual_norm",
-        "fp1",
-        "K",
-    ]
-    row = [
-        float(args.re),
-        float(args.alpha_deg),
-        args.order,
-        args.nelem,
-        fem.dofmap.n_global,
-        fem.dofmap.fixed.size,
-        fem.newton_iters,
-        float(fem.final_residual_norm),
-        fp1,
-        k_val,
-    ]
-    _emit(_rows_text(header, [row], args), args.out)
+    columns = {
+        "re": args.re,
+        "alpha_deg": args.alpha_deg,
+        "order": args.order,
+        "n_elem": args.nelem,
+        "n_dofs": fem.dofmap.n_global,
+        "n_constrained": fem.dofmap.fixed.size,
+        "newton_iters": fem.newton_iters,
+        "residual_norm": fem.final_residual_norm,
+        "fp1": fp1,
+        "K": compute_K(problem, fp1),
+    }
+    _emit(_table_text(columns, args), args.out)
     return 0
 
 
 def cmd_reference(args) -> int:
-    problem = _problem(args)
-    ref = shoot(problem, end_tol=args.shoot_tol)
-    header = ["eta", "f", "fp", "fpp"]
-    rows = [
-        [float(e), float(st[0]), float(st[1]), float(st[2])]
-        for e, st in zip(ref.grid, ref.states)
-    ]
-    _emit(_rows_text(header, rows, args), args.out)
+    ref = shoot(_problem(args), end_tol=args.shoot_tol)
+    f, fp, fpp = ref.states.T
+    _emit(_table_text({"eta": ref.grid, "f": f, "fp": fp, "fpp": fpp}, args), args.out)
     return 0
 
 
@@ -191,21 +185,13 @@ def cmd_table(args) -> int:
         return _usage_error(f"--eta-step must divide 1 into whole steps, got {args.eta_step}")
     fem = _fem_solve(_problem(args), args.order, args.nelem, args.opts)
     etas = np.linspace(0.0, 1.0, n_rows + 1)
-    f_vals = fem.evaluate(etas)[0]
-    header = ["eta", "f"]
-    rows = [[float(e), float(v)] for e, v in zip(etas, f_vals)]
-    _emit(_rows_text(header, rows, args), args.out)
+    _emit(_table_text({"eta": etas, "f": fem.evaluate(etas)[0]}, args), args.out)
     return 0
 
 
-REPORT_HEADER = ["n_elem", "n_nodes", "l2_error", "h1_error"]
-
-
-def _report_rows(report) -> list[list]:
-    return [[row.n_elem, row.n_elem + 1, row.l2, row.h1] for row in report.rows]
-
-
 def _suffixed_path(path: str, suffix: str) -> str:
+    if not os.path.basename(path):  # a directory, as `open` finds for the other commands
+        raise ValueError(f"cannot write {path}: Is a directory")
     root, ext = os.path.splitext(path)
     return f"{root}_{suffix}{ext or '.csv'}"
 
@@ -213,19 +199,23 @@ def _suffixed_path(path: str, suffix: str) -> str:
 def _emit_reports(reports, labels, args) -> int:
     """One CSV table per report, and its slopes on stderr (stdout with --out);
     with `--output json`, one document holding every report."""
-    if args.output == "json":
-        studies = {
-            label: {
-                "rows": [dict(zip(REPORT_HEADER, row)) for row in _report_rows(report)],
+    studies = {}
+    for report, label in zip(reports, labels):
+        n_elem = np.array([row.n_elem for row in report.rows])
+        columns = {
+            "n_elem": n_elem,
+            "n_nodes": n_elem + 1,
+            "l2_error": [row.l2 for row in report.rows],
+            "h1_error": [row.h1 for row in report.rows],
+        }
+        if args.output == "json":
+            studies[label] = {
+                "rows": _records(columns),
                 "slope_l2": report.slope_l2,
                 "slope_h1": report.slope_h1,
             }
-            for report, label in zip(reports, labels)
-        }
-        _emit(_json_text(args, reports=studies), args.out)
-        return 0
-    for report, label in zip(reports, labels):
-        text = _csv_text(REPORT_HEADER, _report_rows(report))
+            continue
+        text = _csv_text(columns)
         if args.out:
             _emit(text, _suffixed_path(args.out, label))
         else:
@@ -234,6 +224,8 @@ def _emit_reports(reports, labels, args) -> int:
             f"{label}: slope_l2 = {report.slope_l2:.3f}, slope_h1 = {report.slope_h1:.3f}",
             file=sys.stderr if args.out is None else sys.stdout,
         )
+    if args.output == "json":
+        _emit(_json_text(args, reports=studies), args.out)
     return 0
 
 
@@ -276,16 +268,10 @@ def cmd_fields(args) -> int:
     cfg = WedgeFieldConfig(
         problem=problem, fluid=fluid, p_star=args.pin, K=k_val, lam=problem.lam
     )
-    r_vals = np.linspace(args.r1, args.r2, args.nr)
-    t_vals = np.linspace(-problem.alpha, problem.alpha, args.ntheta)
-    points = [(r, t) for r in r_vals for t in t_vals]
-    out = wedge_fields(cfg, fem, points)
-    header = ["r", "theta", "u_r", "p"]
-    rows = [
-        [float(r), float(t), float(u), float(pv)]
-        for (r, t), (u, pv) in zip(points, out)
-    ]
-    _emit(_rows_text(header, rows, args), args.out)
+    r = np.repeat(np.linspace(args.r1, args.r2, args.nr), args.ntheta)  # r-major
+    theta = np.tile(np.linspace(-problem.alpha, problem.alpha, args.ntheta), args.nr)
+    u_r, p = wedge_fields(cfg, fem, np.column_stack([r, theta])).T
+    _emit(_table_text({"r": r, "theta": theta, "u_r": u_r, "p": p}, args), args.out)
     return 0
 
 

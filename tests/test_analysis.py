@@ -178,6 +178,22 @@ def test_wedge_fields_domain_errors(fine_solutions):
         wf.wedge_fields(cfg, fem, [(1.0, 2 * cfg.problem.alpha)])
 
 
+def test_profile_kinds_agree(fine_solutions):
+    """`error_norms` and `wedge_fields` take the same three kinds of profile."""
+    cfg, fem = _field_config(fine_solutions)
+    a = cfg.problem.alpha
+    pts = [(0.5, -a), (1.0, 0.0), (2.0, 0.3 * a), (3.0, a)]
+    np.testing.assert_array_equal(
+        wf.wedge_fields(cfg, fem.evaluate, pts), wf.wedge_fields(cfg, fem, pts)
+    )
+    # the two sides evaluate f_h by different table products, equal to rounding
+    en = wf.error_norms(fem, fem, wf.gauss_legendre(8))
+    assert en.l2 <= 1e-15 and en.h1 <= 1e-13
+    assert wf.error_norms(fem, fem.evaluate, wf.gauss_legendre(8)) == en
+    with pytest.raises(TypeError):
+        wf.wedge_fields(cfg, object(), pts)
+
+
 def test_wedge_config_lambda_consistency():
     fluid = wf.FluidProps(nu=1e-3, rho=1000.0)
     prob = wf.JhProblem(30.0, math.radians(15.0), fluid)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -114,12 +115,16 @@ SMALL_MODEL = ["model", "--orders", "1", "--nelems", "4,8,16"]
         (SMALL_SOLVE, "no-dir/x.csv", "no-dir/x.csv", "No such file or directory"),
         (SMALL_SOLVE, ".", ".", "Is a directory"),
         (SMALL_MODEL, "no-dir/m.csv", "no-dir/m_galerkin_p1.csv", "No such file or directory"),
+        # a path ending in a separator names a directory for every command
+        (SMALL_SOLVE, "", "", "Is a directory"),
+        (SMALL_MODEL, "", "", "Is a directory"),
     ],
 )
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, out, written, reason):
-    rc, stdout, err = run_capture(capsys, argv + ["--out", str(tmp_path / out)])
+    rc, stdout, err = run_capture(capsys, argv + ["--out", os.path.join(tmp_path, out)])
     assert (rc, stdout) == (2, "")
-    assert err == f"error: cannot write {tmp_path / written}: {reason}\n"
+    assert err == f"error: cannot write {os.path.join(tmp_path, written)}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _unconverged_solution():
@@ -484,12 +489,10 @@ def test_non_physical_oracle_root_is_a_numerical_failure(
 
 
 def test_fields_csv_identities(capsys):
-    rc, out, _err = run_capture(
-        capsys,
-        ["fields", "--re", "30", "--alpha-deg", "15", "--nelem", "40", "--order", "4",
-         "--r1", "0.5", "--r2", "1.0", "--nr", "2", "--ntheta", "5",
-         "--nu", "1e-3", "--rho", "900", "--pin", "5.0", "--output", "csv"],
-    )
+    fields = ["fields", "--re", "30", "--alpha-deg", "15", "--nelem", "40", "--order", "4",
+              "--r1", "0.5", "--r2", "1.0", "--nr", "2", "--ntheta", "5",
+              "--nu", "1e-3", "--rho", "900", "--pin", "5.0"]
+    rc, out, _err = run_capture(capsys, fields + ["--output", "csv"])
     assert rc == 0
     lines = out.strip().split("\n")
     assert lines[0] == "r,theta,u_r,p"
@@ -506,6 +509,31 @@ def test_fields_csv_identities(capsys):
         ray = rows[np.abs(rows[:, 1] - theta) < 1e-12]
         vals = (ray[:, 3] - 5.0) * ray[:, 0] ** 2
         np.testing.assert_allclose(vals, vals[0], rtol=1e-10)
+    # r-major: every theta, in increasing order, for each r
+    np.testing.assert_array_equal(rows[:, 0], np.repeat([0.5, 1.0], 5))
+    np.testing.assert_array_equal(rows[:, 1], np.tile(rows[:5, 1], 2))
+    assert np.all(np.diff(rows[:5, 1]) > 0)
+    # json carries the same numbers; pretty the same to its 11 digits
+    rc, out, _err = run_capture(capsys, fields + ["--output", "json"])
+    assert rc == 0
+    json_rows = [list(row.values()) for row in json.loads(out)["rows"]]
+    np.testing.assert_array_equal(json_rows, rows)
+    rc, out, _err = run_capture(capsys, fields + ["--output", "pretty"])
+    assert rc == 0
+    header, *cells = [line.split() for line in out.splitlines()]
+    assert header == ["r", "theta", "u_r", "p"]
+    assert cells == [[f"{v:.10e}" for v in row] for row in rows.tolist()]
+    # solve's integer columns print as integers in every format
+    ints = ["order", "n_elem", "n_dofs", "n_constrained", "newton_iters"]
+    rc, out, _err = run_capture(capsys, SMALL_SOLVE + ["--output", "json"])
+    row = json.loads(out)["rows"][0]
+    assert rc == 0 and all(type(row[name]) is int for name in ints)
+    assert [row[name] for name in ints[:3]] == [3, 8, 18]
+    for output, sep in (("csv", ","), ("pretty", None)):
+        rc, out, _err = run_capture(capsys, SMALL_SOLVE + ["--output", output])
+        names, values = [line.split(sep) for line in out.splitlines()]
+        text = dict(zip(names, values))
+        assert rc == 0 and [text[name] for name in ints] == [str(row[name]) for name in ints]
 
 
 # ------------------------------------------------------------------ check
