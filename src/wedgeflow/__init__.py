@@ -28,7 +28,6 @@ from .basis import (
     hermite_family,
     hierarchic_family,
 )
-from .cli import main, run
 from .meshing import (
     SLOPE,
     VALUE,
@@ -42,7 +41,6 @@ from .meshing import (
 from .model_problem import (
     GALERKIN,
     LEAST_SQUARES,
-    ModelConfig,
     assemble_model,
     exact_derivative,
     exact_pair,

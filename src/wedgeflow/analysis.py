@@ -28,7 +28,6 @@ class ErrorNorms:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    case: str
     degree: int
     rows: tuple
     slope_l2: float
@@ -95,9 +94,9 @@ def fit_rates(rows) -> tuple[float, float]:
     return fit([r.l2 for r in rows]), fit([r.h1 for r in rows])
 
 
-def make_report(case: str, degree: int, rows) -> ConvergenceReport:
+def make_report(degree: int, rows) -> ConvergenceReport:
     slope_l2, slope_h1 = fit_rates(rows)
-    return ConvergenceReport(case, degree, tuple(rows), slope_l2, slope_h1)
+    return ConvergenceReport(degree, tuple(rows), slope_l2, slope_h1)
 
 
 def compute_K(problem: JhProblem, fp1: float) -> float:

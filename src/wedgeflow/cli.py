@@ -240,7 +240,7 @@ def cmd_convergence(args) -> int:
         for n in nelems:
             fem = _fem_solve(problem, p, n, args.opts)
             rows.append(error_norms(fem, ref, gauss_legendre(min(16, p + 4))))
-        reports.append(make_report(f"re{args.re}_alpha{args.alpha_deg}", p, rows))
+        reports.append(make_report(p, rows))
     return _emit_reports(reports, [f"p{p}" for p in orders], args)
 
 

@@ -2,20 +2,20 @@
 
 Solves u' + u = g on (0, 1), u(0) = 1, with g chosen so the exact solution is
 u(x) = cos(5 pi x / 2), in both a Galerkin formulation (integrated by parts,
-with the outflow boundary term) and a least-squares formulation.  The linear
-systems reuse the Newton driver; at the default tolerance a single iteration
-solves them, while tighter tolerances trigger extra passes that act as
-iterative refinement of the float64 factorisation.
+with the outflow boundary term) and a least-squares formulation.
+`solve_model(degree, n_elem, formulation)` hands the one assembled matrix, its
+prescribed rows made identity rows, to the Newton driver; at the default
+tolerance a single iteration solves the system, while tighter tolerances
+trigger extra passes that act as iterative refinement of the float64
+factorisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .analysis import error_norms, make_report
-from .basis import HIERARCHIC, ElementFamily, eval_hierarchic, hierarchic_family
+from .basis import eval_hierarchic, hierarchic_family
 from .meshing import build_dofmap, build_mesh, model_constraints
 from .quadrature import gauss_legendre
 from .solver import BandedMatrix, FemSolution, SolverOptions, _reference_tables, basis_tables, newton_loop
@@ -35,22 +35,6 @@ def _pi_for(x: np.ndarray):
     return _PI_LD if x.dtype == _LD else np.pi
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    degree: int
-    n_elem: int
-    formulation: str = GALERKIN
-
-    def __post_init__(self):
-        degrees = ElementFamily.DEGREES[HIERARCHIC]
-        if self.degree not in degrees:
-            raise ValueError(f"degree must be in {degrees}, got {self.degree}")
-        if self.n_elem < 1:
-            raise ValueError(f"n_elem must be positive, got {self.n_elem}")
-        if self.formulation not in (GALERKIN, LEAST_SQUARES):
-            raise ValueError(f"unknown formulation {self.formulation!r}")
-
-
 def exact_solution(x):
     x = np.asarray(x)
     return np.cos(2.5 * _pi_for(x) * x)
@@ -67,13 +51,15 @@ def forcing(x):
     return exact_derivative(x) + exact_solution(x)
 
 
-def assemble_model(cfg: ModelConfig, dofmap, rule):
-    """Extended-precision system (A, b) of `cfg.formulation`, before constraints.
+def assemble_model(formulation: str, dofmap, rule):
+    """Extended-precision system (A, b) of `formulation` on `dofmap`, before constraints.
 
-    Least squares gives a symmetric A, SPD on the constrained subspace; the
-    constraints are applied by the solve driver.
+    The degree and N are the map's.  Least squares gives a symmetric A, SPD on
+    the constrained subspace; the constraints are applied by `solve_model`.
     """
-    n = cfg.n_elem
+    if formulation not in (GALERKIN, LEAST_SQUARES):
+        raise ValueError(f"unknown formulation {formulation!r}")
+    n = dofmap.n_elem
     h = _LD(1) / n
     pts = rule.points.astype(_LD)
     wts = rule.weights.astype(_LD)
@@ -81,7 +67,7 @@ def assemble_model(cfg: ModelConfig, dofmap, rule):
     v, dx, _ = basis_tables(dofmap.family, shapes, h)
     mat = BandedMatrix(dofmap.n_global, dofmap.half_bandwidth, dtype=_LD)
     rhs = np.zeros(dofmap.n_global, dtype=_LD)
-    if cfg.formulation == GALERKIN:
+    if formulation == GALERKIN:
         # A_ij = int(-phi_j phi_i' + phi_j phi_i) + phi_j(1) phi_i(1)
         block = (np.einsum("jq,iq,q->ij", v, -dx, wts) + np.einsum("jq,iq,q->ij", v, v, wts)) * h
         test = v
@@ -90,8 +76,8 @@ def assemble_model(cfg: ModelConfig, dofmap, rule):
         block = np.einsum("jq,iq,q->ij", w, w, wts) * h
         test = w
     local = np.repeat(block[None], n, axis=0)
-    if cfg.formulation == GALERKIN:  # the outflow term phi_j(1) phi_i(1) is the last element's
-        end = eval_hierarchic(cfg.degree, np.array([1.0], dtype=_LD)).values[:, 0]
+    if formulation == GALERKIN:  # the outflow term phi_j(1) phi_i(1) is the last element's
+        end = eval_hierarchic(dofmap.family.degree, np.array([1.0], dtype=_LD)).values[:, 0]
         local[-1] += np.outer(end, end)
     mat.add_elements(dofmap, local)
     x = (np.arange(n, dtype=_LD)[:, None] + pts[None, :]) * h
@@ -100,30 +86,25 @@ def assemble_model(cfg: ModelConfig, dofmap, rule):
     return mat, rhs
 
 
-def solve_model(cfg: ModelConfig, opts: SolverOptions | None = None) -> FemSolution:
+def solve_model(degree: int, n_elem: int, formulation: str = GALERKIN,
+                opts: SolverOptions | None = None) -> FemSolution:
     """Solve the model problem via the shared Newton driver.
 
-    One iteration suffices at the default tolerance; requesting tighter
-    tolerances makes further iterations refine the float64 solve against the
-    extended-precision residual.
+    The prescribed rows of the assembled matrix become identity rows, so the
+    residual A c - b reads c_i - u_i there and the same matrix is the
+    Jacobian.  One iteration suffices at the default tolerance; requesting
+    tighter tolerances makes further iterations refine the float64 solve
+    against the extended-precision residual.
     """
     opts = opts or SolverOptions(max_iter=10)
-    mesh = build_mesh(cfg.n_elem)
-    dofmap = build_dofmap(mesh, hierarchic_family(cfg.degree), model_constraints())
-    rule = gauss_legendre(MODEL_RULE_POINTS)
-    mat, rhs = assemble_model(cfg, dofmap, rule)
-    jac = BandedMatrix(mat.n, mat.k, dtype=np.float64)
-    jac.data[:] = mat.data.astype(np.float64)
-    jac.set_identity_rows(dofmap)
-
-    def res_fn(c):
-        out = mat.matvec(c) - rhs
-        out[dofmap.fixed] = c[dofmap.fixed] - dofmap.fixed_values.astype(_LD)
-        return out
-
+    dofmap = build_dofmap(build_mesh(n_elem), hierarchic_family(degree), model_constraints())
+    mat, rhs = assemble_model(formulation, dofmap, gauss_legendre(MODEL_RULE_POINTS))
+    mat.set_identity_rows(dofmap)
+    rhs[dofmap.fixed] = dofmap.fixed_values
     coeffs0 = np.zeros(dofmap.n_global, dtype=_LD)
     coeffs0[dofmap.fixed] = dofmap.fixed_values
-    result = newton_loop(res_fn, lambda _c: jac, coeffs0, dofmap.free_mask(), opts)
+    result = newton_loop(lambda c: mat.matvec(c) - rhs, lambda _c: mat, coeffs0,
+                         dofmap.free_mask(), opts)
     return FemSolution.from_newton(dofmap, result)
 
 
@@ -149,8 +130,7 @@ def model_convergence(
     for p in degrees:
         rows = []
         for n in n_elems:
-            cfg = ModelConfig(degree=p, n_elem=n, formulation=formulation)
-            fem = solve_model(cfg, SolverOptions(tol=newton_tol, max_iter=10))
+            fem = solve_model(p, n, formulation, SolverOptions(tol=newton_tol, max_iter=10))
             rows.append(error_norms(fem, exact_pair, rule))
-        reports.append(make_report(f"model-{formulation}", p, rows))
+        reports.append(make_report(p, rows))
     return reports

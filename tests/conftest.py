@@ -67,7 +67,7 @@ def jh_reports(oracles):
                 fem = wf.newton_solve(prob, wf.build_mesh(n), wf.hermite_family(p))
                 assert fem.converged
                 rows.append(wf.error_norms(fem, ref, wf.gauss_legendre(p + 4)))
-            out[case, p] = wf.make_report(f"re{case[0]:g}_alpha{case[1]:g}", p, rows)
+            out[case, p] = wf.make_report(p, rows)
     return out
 
 

@@ -13,7 +13,7 @@ from conftest import run_fresh
 
 
 def run_capture(capsys, argv):
-    rc = wf.run(argv)
+    rc = cli.run(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -98,7 +98,7 @@ def test_fields_rows_are_bounded_before_the_solve(capsys, monkeypatch):
     assert (rc, out) == (2, "")
     assert err == "error: need nr * ntheta <= 1000000 points, got 10000000000\n"
     with pytest.raises(_Solved):  # 10**6 points pass
-        wf.run(fields + ["--nr", "1000", "--ntheta", "1000"])
+        cli.run(fields + ["--nr", "1000", "--ntheta", "1000"])
     # `table` applies the same bound to its steps, with its own message
     rc, out, err = run_capture(capsys, ["table", "--eta-step", "1e-9"])
     assert (rc, out) == (2, "")
@@ -640,6 +640,24 @@ print(json.dumps([rc_solve, before, hasattr(scipy.linalg, "_flapack"), info, x.t
 def test_scipy_linalg_imports_normally_after_a_solve():
     proc = run_fresh(SCIPY_LINALG_AFTER_SOLVE_SCRIPT)
     assert json.loads(proc.stdout) == [0, False, True, 0, [1.0, 1.0], 0]
+
+
+# `python -W error::RuntimeWarning -m wedgeflow.cli solve --nelem 4`, run as
+# runpy runs it: `import wedgeflow` must leave `cli` (which runpy would warn it
+# is about to execute a second time) and argparse unimported.
+MODULE_MAIN_SCRIPT = """
+import json, runpy, sys, warnings
+warnings.simplefilter("error", RuntimeWarning)
+import wedgeflow
+print(json.dumps(sorted({"wedgeflow.cli", "argparse"} & set(sys.modules))))
+runpy.run_module("wedgeflow.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_python_m_cli_runs_without_warnings():
+    proc = run_fresh(MODULE_MAIN_SCRIPT, "solve", "--nelem", "4")
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == "[]"
 
 
 # ----------------------------------------------------------------- helpers

@@ -5,6 +5,7 @@ import pytest
 from conftest import MODEL_MESHES
 
 import wedgeflow as wf
+from wedgeflow import solver
 
 # Closed-form load vector for a single linear element: b_i = int g phi_i with
 # g = u' + u, u = cos(5 pi x / 2).  Integration by parts gives
@@ -15,10 +16,9 @@ U1_EXACT = 0.4 - 24.0 / (125 * math.pi**2)
 
 
 def _raw_system(degree, n_elem, formulation):
-    cfg = wf.ModelConfig(degree=degree, n_elem=n_elem, formulation=formulation)
     family = wf.hierarchic_family(degree)
     dm = wf.build_dofmap(wf.build_mesh(n_elem), family, wf.model_constraints())
-    mat, rhs = wf.assemble_model(cfg, dm, wf.gauss_legendre(10))
+    mat, rhs = wf.assemble_model(formulation, dm, wf.gauss_legendre(10))
     return mat.to_dense().astype(np.float64), rhs.astype(np.float64), dm
 
 
@@ -51,7 +51,7 @@ def test_single_element_galerkin_system():
 
 
 def test_single_element_solution_pin():
-    fem = wf.solve_model(wf.ModelConfig(degree=1, n_elem=1))
+    fem = wf.solve_model(1, 1)
     assert fem.converged
     assert fem.coeffs[0] == 1.0
     assert fem.coeffs[1] == pytest.approx(U1_EXACT, abs=1e-9)
@@ -60,7 +60,7 @@ def test_single_element_solution_pin():
 @pytest.mark.parametrize("formulation", [wf.GALERKIN, wf.LEAST_SQUARES])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_inflow_value_exact(degree, formulation):
-    fem = wf.solve_model(wf.ModelConfig(degree=degree, n_elem=7, formulation=formulation))
+    fem = wf.solve_model(degree, 7, formulation)
     assert fem.converged
     assert fem.coeffs[0] == 1.0
     u0 = fem.evaluate(0.0)[0]
@@ -68,7 +68,7 @@ def test_inflow_value_exact(degree, formulation):
 
 
 def test_quintic_galerkin_is_accurate():
-    fem = wf.solve_model(wf.ModelConfig(degree=5, n_elem=64))
+    fem = wf.solve_model(5, 64)
     en = wf.error_norms(fem, wf.exact_pair, wf.gauss_legendre(12))
     assert en.l2 < 1e-9
 
@@ -90,7 +90,7 @@ def test_galerkin_matrix_is_not_symmetric():
 
 @pytest.mark.parametrize("formulation", [wf.GALERKIN, wf.LEAST_SQUARES])
 def test_linear_problem_converges_in_one_iteration(formulation):
-    fem = wf.solve_model(wf.ModelConfig(degree=3, n_elem=16, formulation=formulation))
+    fem = wf.solve_model(3, 16, formulation)
     assert fem.converged
     assert fem.newton_iters == 1
 
@@ -100,8 +100,8 @@ def test_formulations_converge_to_each_other():
     # distance shrinks under refinement.
     dists = []
     for n in (8, 16, 32):
-        gal = wf.solve_model(wf.ModelConfig(degree=2, n_elem=n))
-        lsq = wf.solve_model(wf.ModelConfig(degree=2, n_elem=n, formulation=wf.LEAST_SQUARES))
+        gal = wf.solve_model(2, n)
+        lsq = wf.solve_model(2, n, wf.LEAST_SQUARES)
         ref = lambda x: lsq.evaluate(x)[:2]
         dists.append(wf.error_norms(gal, ref, wf.gauss_legendre(10)).l2)
     assert dists[0] > dists[1] > dists[2]
@@ -130,11 +130,36 @@ def test_errors_positive_and_decreasing(model_reports, degree, formulation):
 
 
 def test_model_config_validation():
-    with pytest.raises(ValueError):
-        wf.ModelConfig(degree=0, n_elem=4)
-    with pytest.raises(ValueError):
-        wf.ModelConfig(degree=6, n_elem=4)
-    with pytest.raises(ValueError):
-        wf.ModelConfig(degree=2, n_elem=0)
-    with pytest.raises(ValueError):
-        wf.ModelConfig(degree=2, n_elem=4, formulation="petrov")
+    with pytest.raises(ValueError, match="supports p in"):
+        wf.solve_model(0, 4)
+    with pytest.raises(ValueError, match="supports p in"):
+        wf.solve_model(6, 4)
+    with pytest.raises(ValueError, match="n_elem must be a positive integer"):
+        wf.solve_model(2, 0)
+    with pytest.raises(ValueError, match="unknown formulation 'petrov'"):
+        wf.solve_model(2, 4, "petrov")
+
+
+def test_solve_passes_lapack_the_constrained_assembled_matrix(monkeypatch):
+    # Every refinement pass factorises the one assembled longdouble matrix,
+    # unchanged, with its prescribed rows made identity rows.
+    seen = []
+    solve_banded = solver.solve_banded
+
+    def spy(a, b):
+        seen.append((a, a.data.copy()))
+        return solve_banded(a, b)
+
+    monkeypatch.setattr(solver, "solve_banded", spy)
+    fem = wf.solve_model(3, 16, wf.LEAST_SQUARES, wf.SolverOptions(tol=0.0, max_iter=10))
+    assert len(seen) == fem.newton_iters >= 2
+    mat = seen[0][0]
+    assert mat.data.dtype == np.longdouble  # the assembled band, not a float64 copy
+    for a, data in seen:
+        assert a is mat
+        np.testing.assert_array_equal(data, mat.data)
+    dense, _rhs, dm = _raw_system(3, 16, wf.LEAST_SQUARES)
+    lapack = mat.to_dense().astype(np.float64)
+    free = dm.free_mask()
+    np.testing.assert_array_equal(lapack[dm.fixed], np.eye(dm.n_global)[dm.fixed])
+    np.testing.assert_array_equal(lapack[free], dense[free])

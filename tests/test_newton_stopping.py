@@ -116,7 +116,7 @@ def test_step_test_leaves_residual_converged_solves_alone(case, p, n, monkeypatc
 
 
 def test_model_solve_records_stop_reason():
-    fem = wf.solve_model(wf.ModelConfig(degree=3, n_elem=16))
+    fem = wf.solve_model(3, 16)
     assert fem.converged and fem.stop_reason == "residual"
 
 
