@@ -23,12 +23,10 @@ class ErrorNorms:
     l2: float
     h1: float
     n_elem: int
-    degree: int
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    degree: int
     rows: tuple
     slope_l2: float
     slope_h1: float
@@ -57,7 +55,7 @@ def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
         raise ValueError(f"rule exactness {rule.exactness} below 2p + 4 = {2 * p + 4}")
     n = fem.dofmap.n_elem
     h = 1.0 / n
-    _, (fh, fph) = quadrature_fields(fem.dofmap, fem.coeffs, rule)
+    fh, fph, _ = quadrature_fields(fem.dofmap, fem.coeffs, rule)
     x = (np.arange(n)[:, None] + rule.points[None, :]) * h
     ref_vals = _profile_at(ref, x.ravel())
     fr = np.asarray(ref_vals[0]).reshape(n, -1)
@@ -65,7 +63,7 @@ def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
     w = rule.weights
     e2 = float(np.sum((fh - fr) ** 2 @ w) * h)
     d2 = float(np.sum((fph - fpr) ** 2 @ w) * h)
-    return ErrorNorms(l2=math.sqrt(e2), h1=math.sqrt(e2 + d2), n_elem=n, degree=p)
+    return ErrorNorms(l2=math.sqrt(e2), h1=math.sqrt(e2 + d2), n_elem=n)
 
 
 def fit_rates(rows) -> tuple[float, float]:
@@ -94,9 +92,9 @@ def fit_rates(rows) -> tuple[float, float]:
     return fit([r.l2 for r in rows]), fit([r.h1 for r in rows])
 
 
-def make_report(degree: int, rows) -> ConvergenceReport:
+def make_report(rows) -> ConvergenceReport:
     slope_l2, slope_h1 = fit_rates(rows)
-    return ConvergenceReport(degree, tuple(rows), slope_l2, slope_h1)
+    return ConvergenceReport(tuple(rows), slope_l2, slope_h1)
 
 
 def compute_K(problem: JhProblem, fp1: float) -> float:
@@ -163,9 +161,8 @@ def duality_pairing_check(fem: FemSolution, problem: JhProblem) -> tuple[float, 
     rule = gauss_legendre(math.ceil((3 * p + 1) / 2))
     n = fem.dofmap.n_elem
     h = 1.0 / n
-    _, (f, fp, fpp) = quadrature_fields(fem.dofmap, fem.coeffs, rule, n_derivs=2)
-    c = 2.0 * problem.reynolds * problem.alpha
-    a2 = 4.0 * problem.alpha**2
+    f, fp, fpp = quadrature_fields(fem.dofmap, fem.coeffs, rule)
+    c, a2 = problem.coefficients()
     integrand = fp * (fpp + c * f**2 + a2 * f)
     integral = float(np.sum(integrand @ rule.weights) * h)
     f_ends, fp_ends, fpp_ends = fem.evaluate(np.array([0.0, 1.0]))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import error_norms, make_report
-from .basis import eval_hierarchic, hierarchic_family
+from .basis import HIERARCHIC, eval_hierarchic, hierarchic_family
 from .meshing import build_dofmap, build_mesh, model_constraints
 from .quadrature import gauss_legendre
 from .solver import BandedMatrix, FemSolution, SolverOptions, _reference_tables, basis_tables, newton_loop
@@ -54,11 +54,13 @@ def forcing(x):
 def assemble_model(formulation: str, dofmap, rule):
     """Extended-precision system (A, b) of `formulation` on `dofmap`, before constraints.
 
-    The degree and N are the map's.  Least squares gives a symmetric A, SPD on
+    The degree and N are the hierarchic map's.  Least squares gives a symmetric A, SPD on
     the constrained subspace; the constraints are applied by `solve_model`.
     """
     if formulation not in (GALERKIN, LEAST_SQUARES):
         raise ValueError(f"unknown formulation {formulation!r}")
+    if dofmap.family.kind != HIERARCHIC:
+        raise ValueError("model-problem assembly requires the hierarchic family")
     n = dofmap.n_elem
     h = _LD(1) / n
     pts = rule.points.astype(_LD)
@@ -132,5 +134,5 @@ def model_convergence(
         for n in n_elems:
             fem = solve_model(p, n, formulation, SolverOptions(tol=newton_tol, max_iter=10))
             rows.append(error_norms(fem, exact_pair, rule))
-        reports.append(make_report(p, rows))
+        reports.append(make_report(rows))
     return reports

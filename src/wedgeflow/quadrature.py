@@ -34,25 +34,26 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) by the three-term recurrence."""
+    p0 = np.ones_like(x)
+    p1 = x.copy()
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Newton iteration for the roots of P_n on [-1, 1]; Chebyshev starting guesses.
     k = np.arange(1, n + 1)
     x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dp
+        p, dp = _legendre(n, x)
+        dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
+    dp = _legendre(n, x)[1]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     return x[order], w[order]

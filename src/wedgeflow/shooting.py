@@ -10,8 +10,8 @@ f(1) = 0.  The best secant pass is kept whole: its step polynomials give
 
 Each pass is integrated by `solve_ivp`, a Taylor-series method of degree
 TAYLOR_ORDER.  The right-hand side is quadratic: f''' = -(c/2) (f^2)' - a2 f'
-with c = 2 Re alpha and a2 = 4 alpha^2.  Matching powers of tau in
-f(eta + tau) = sum_k f_k tau^k gives the recurrence
+with (c, a2) = (2 Re alpha, 4 alpha^2) from `JhProblem.coefficients`.
+Matching powers of tau in f(eta + tau) = sum_k f_k tau^k gives the recurrence
 
     f_{k+3} = -((c/2) S_{k+1} + a2 f_{k+1}) / ((k + 2)(k + 3)),
     S_n = sum_{j=0..n} f_j f_{n-j},
@@ -73,8 +73,8 @@ TAYLOR_ORDER = 24
 
 def _taylor_coefficients(problem: JhProblem, y) -> list[float]:
     """Coefficients f_0..f_M of f's Taylor polynomial about a point with state y = (f, f', f'')."""
-    half_c = float(problem.reynolds * problem.alpha)
-    a2 = float(4.0 * problem.alpha**2)
+    c, a2 = map(float, problem.coefficients())
+    half_c = 0.5 * c  # exact: halving commutes with rounding
     f = [y[0], y[1], 0.5 * y[2]]
     for k in range(TAYLOR_ORDER - 2):
         # fsum, unlike sum (compensated since Python 3.12), rounds alike on every version

@@ -5,10 +5,10 @@ The radial-profile unknown f(eta) on [0, 1] satisfies
     f''' + 2 Re alpha f f' + 4 alpha^2 f' = 0,
     f(0) = 1,  f'(0) = 0,  f(1) = 0,
 
-discretised with C1 Hermite elements.  Weak residual rows are
+discretised with C1 Hermite elements.  Weak residual rows, with
+(c, a2) = (2 Re alpha, 4 alpha^2) from `JhProblem.coefficients`, are
 
-    R_i = int_0^1 f'(phi_i'' + 2 Re alpha f phi_i + 4 alpha^2 phi_i) dx
-          - f'(1) phi_i'(1).
+    R_i = int_0^1 f'(phi_i'' + c f phi_i + a2 phi_i) dx - f'(1) phi_i'(1).
 
 Newton iterates are kept in extended precision (longdouble) while Jacobians
 are factorised in float64; the value rows of the Jacobian scale like 1/h^2,
@@ -84,6 +84,12 @@ class JhProblem:
         if self.fluid is None:
             raise ValueError("lambda requires fluid properties")
         return self.reynolds * self.fluid.nu / self.alpha
+
+    def coefficients(self, dtype=np.float64) -> tuple:
+        """The ODE's coefficients (2 Re alpha, 4 alpha^2), computed in `dtype`."""
+        scal = np.dtype(dtype).type
+        alpha = scal(self.alpha)
+        return scal(2.0) * scal(self.reynolds) * alpha, scal(4.0) * alpha**2
 
 
 class BandedMatrix:
@@ -263,20 +269,16 @@ def basis_tables(family: ElementFamily, shapes: ShapeEval, h) -> tuple:
     return v, d1, d2
 
 
-def quadrature_fields(
-    dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule, n_derivs: int = 1
-):
-    """Basis tables and the field `coeffs` at the rule points of every element.
+def quadrature_fields(dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule) -> tuple:
+    """(f, f', f'') of `coeffs` at the rule points of every element, each (n_elem, nq).
 
-    Returns (tables, fields): `tables` is (v, d1, d2), each (p+1, nq) with the
-    physical-slope scaling applied at h = 1 / n_elem (d2 is None for C0
-    families), and `fields` is (f, f', ...) up to derivative `n_derivs`, each
-    (n_elem, nq).  All arithmetic follows the dtype of `coeffs`.
+    The triple `FemSolution.evaluate` returns: f'' is None for C0 families.
+    All arithmetic follows the dtype of `coeffs`.
     """
     shapes = _reference_tables(dofmap.family, rule, coeffs.dtype)
     tables = basis_tables(dofmap.family, shapes, 1.0 / dofmap.n_elem)
     ce = coeffs[dofmap.element_dofs]  # (n, p+1)
-    return tables, tuple(np.dot(ce, t) for t in tables[: n_derivs + 1])
+    return tuple(None if t is None else np.dot(ce, t) for t in tables)
 
 
 _Tables = namedtuple("_Tables", "v d1 weights test pairs const", defaults=(None,) * 2)
@@ -327,12 +329,10 @@ def assemble_residual(
     tables = _assembly_tables(dofmap, rule, dtype)
     if coeffs.shape[0] != dofmap.n_global:
         raise ValueError("coefficient vector length mismatch")
-    scal = dtype.type
     coeffs = coeffs.astype(dtype, copy=False)
     ce = coeffs[dofmap.element_dofs]
     f, fp = np.dot(ce, tables.v), np.dot(ce, tables.d1)
-    c = scal(2.0) * scal(problem.reynolds) * scal(problem.alpha)
-    a2 = scal(4.0) * scal(problem.alpha) ** 2
+    c, a2 = problem.coefficients(dtype)
     # R_i = h sum_q f' w (phi_i'' + (c f + 4 alpha^2) phi_i): one product of
     # [f' w, (c f + 4 alpha^2) f' w] with [d2; v]^T h; the halves are formed in place
     fp *= tables.weights
@@ -357,8 +357,7 @@ def assemble_jacobian(
         raise ValueError("coefficient vector length mismatch")
     ce = coeffs[dofmap.element_dofs]
     f, fp = np.dot(ce, tables.v), np.dot(ce, tables.d1)
-    c = 2.0 * problem.reynolds * problem.alpha
-    a2 = 4.0 * problem.alpha**2
+    c, a2 = problem.coefficients()
     # all element blocks as [c f' w, (c f + 4 alpha^2) w] P + D
     fp *= c
     fp *= tables.weights
@@ -504,7 +503,6 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
     x64 = coeffs.astype(np.float64)
     best = (np.inf, coeffs, True)  # iterates are replaced, never written in place
     iters = 0
-    rnorm = np.inf
     stop_reason = "max_iter"
     step = prev_step = np.inf
     scale = 1.0
@@ -550,10 +548,10 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
     return coeffs, converged, iters, rnorm, tuple(history), stop_reason
 
 
-def poiseuille_guess(dofmap: DofMap, dtype=_LD) -> np.ndarray:
-    """Hermite interpolant of 1 - eta^2 (bubbles zero), constraints seeded."""
-    nodes = np.linspace(0, 1, dofmap.n_elem + 1).astype(dtype)
-    coeffs = np.zeros(dofmap.n_global, dtype=dtype)
+def poiseuille_guess(dofmap: DofMap) -> np.ndarray:
+    """Hermite interpolant of 1 - eta^2 (bubbles zero) in longdouble, constraints seeded."""
+    nodes = np.linspace(0, 1, dofmap.n_elem + 1).astype(_LD)
+    coeffs = np.zeros(dofmap.n_global, dtype=_LD)
     coeffs[dofmap.nodal_dofs(VALUE)] = 1 - nodes**2
     coeffs[dofmap.nodal_dofs(SLOPE)] = -2 * nodes
     coeffs[dofmap.fixed] = dofmap.fixed_values

@@ -67,7 +67,7 @@ def jh_reports(oracles):
                 fem = wf.newton_solve(prob, wf.build_mesh(n), wf.hermite_family(p))
                 assert fem.converged
                 rows.append(wf.error_norms(fem, ref, wf.gauss_legendre(p + 4)))
-            out[case, p] = wf.make_report(p, rows)
+            out[case, p] = wf.make_report(rows)
     return out
 
 
@@ -75,7 +75,8 @@ def jh_reports(oracles):
 def model_reports():
     """Model-problem studies: ConvergenceReport per (formulation, degree)."""
     out = {}
+    degrees = (1, 2, 3, 4, 5)
     for form in (wf.GALERKIN, wf.LEAST_SQUARES):
-        for rep in wf.model_convergence((1, 2, 3, 4, 5), MODEL_MESHES, form):
-            out[form, rep.degree] = rep
+        for p, rep in zip(degrees, wf.model_convergence(degrees, MODEL_MESHES, form)):
+            out[form, p] = rep
     return out

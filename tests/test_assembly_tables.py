@@ -89,7 +89,7 @@ def test_solve_banded_leaves_the_matrix_unchanged():
     prob = make_problem(30.0, 15.0)
     dm = _map(40)
     rule = wf.gauss_legendre(wf.required_points(4))
-    coeffs = wf.poiseuille_guess(dm, dtype=np.float64)
+    coeffs = wf.poiseuille_guess(dm).astype(np.float64)
     jac = wf.assemble_jacobian(prob, dm, coeffs, rule)
     before = jac.data.copy()
     b = -wf.assemble_residual(prob, dm, coeffs, rule)

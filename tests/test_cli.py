@@ -83,6 +83,19 @@ def test_bad_arguments_exit_two(capsys, argv):
         assert "--eta-step" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "table", "fields", "check"])
+def test_bad_order_and_nelem_are_reported_by_the_library(capsys, command):
+    # build_mesh checks --nelem before hermite_family checks --order; stdout stays empty
+    extra = ["--r1", "1", "--r2", "2", "--nr", "2", "--ntheta", "3", "--nu", "1e-3", "--rho", "1"]
+    for flags, message in [
+        (["--order", "6"], "hermite_c1 family supports p in (3, 4, 5), got 6"),
+        (["--nelem", "0"], "n_elem must be a positive integer, got 0"),
+        (["--order", "6", "--nelem", "0"], "n_elem must be a positive integer, got 0"),
+    ]:
+        argv = [command, *flags, *(extra if command == "fields" else [])]
+        assert run_capture(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 class _Solved(Exception):
     """Raised by a patched `_fem_solve`: the command got past its argument checks."""
 

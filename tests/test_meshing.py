@@ -106,7 +106,7 @@ def test_assembled_band_respects_declared_bandwidth():
     prob = wf.JhProblem(30.0, math.radians(15.0))
     dm = wf.build_dofmap(wf.build_mesh(6), wf.hermite_family(5), wf.jh_constraints())
     rule = wf.gauss_legendre(wf.required_points(5))
-    coeffs = wf.poiseuille_guess(dm, dtype=np.float64)
+    coeffs = wf.poiseuille_guess(dm).astype(np.float64)
     jac = wf.assemble_jacobian(prob, dm, coeffs, rule)
     dense = jac.to_dense()
     i, j = np.meshgrid(np.arange(dm.n_global), np.arange(dm.n_global), indexing="ij")

@@ -140,6 +140,13 @@ def test_model_config_validation():
         wf.solve_model(2, 4, "petrov")
 
 
+def test_assemble_model_rejects_a_non_hierarchic_map():
+    # the outflow term reads hierarchic values, so a Hermite map would give a wrong system
+    dm = wf.build_dofmap(wf.build_mesh(4), wf.hermite_family(3), wf.jh_constraints())
+    with pytest.raises(ValueError, match="requires the hierarchic family"):
+        wf.assemble_model(wf.GALERKIN, dm, wf.gauss_legendre(10))
+
+
 def test_solve_passes_lapack_the_constrained_assembled_matrix(monkeypatch):
     # Every refinement pass factorises the one assembled longdouble matrix,
     # unchanged, with its prescribed rows made identity rows.

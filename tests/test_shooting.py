@@ -209,3 +209,20 @@ def test_non_physical_root_is_refused(case, min_f, fp1):
     assert message.startswith("non-physical root")
     assert f"min f = {min_f}" in message and f"f'(1) = {fp1}" in message
     assert exc.value.history  # the secant history is attached
+
+
+def test_secant_stall_is_reported_with_history(monkeypatch):
+    # |f(1)| + 1e-6 has no root: the secant runs its 50 passes without reaching end_tol
+    real_solve_ivp = shooting.solve_ivp
+
+    def rootless_solve_ivp(*args, **kwargs):
+        sol = real_solve_ivp(*args, **kwargs)
+        y = sol.y.copy()
+        y[0, -1] = abs(y[0, -1]) + 1e-6
+        return sol._replace(y=y)
+
+    monkeypatch.setattr(shooting, "solve_ivp", rootless_solve_ivp)
+    with pytest.raises(wf.ShootingError, match="^secant iteration stalled at") as exc:
+        wf.shoot(make_problem(30.0, 15.0))
+    assert 2 < len(exc.value.history) <= 52  # two starting passes, at most 50 secant steps
+    assert min(abs(g) for _s, g in exc.value.history) > 1e-6

@@ -94,6 +94,13 @@ def test_banded_singular_names_pivot():
     assert "pivot at index" in str(exc.value)
 
 
+def test_banded_near_zero_pivot_names_index():
+    # LU leaves the pivot 1.1e-15, below 1e-14 * ||a||_inf = 2e-14, but not zero
+    mat = banded_from_dense(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), 1)
+    with pytest.raises(wf.SingularMatrixError, match="^near-zero pivot at index 1$"):
+        wf.solve_banded(mat, np.ones(2))
+
+
 # Runs in a fresh interpreter: solves the p=4, N=320 Newton Jacobian at
 # (30, 15 deg) and a singular matrix with `solve_banded`, after preparing the
 # LAPACK loading path named in argv[1].  Prints the solution's bytes, the
@@ -116,7 +123,7 @@ elif sys.argv[1] == "load-fails":
 dofmap = wf.build_dofmap(wf.build_mesh(320), wf.hermite_family(4), wf.jh_constraints())
 problem = wf.JhProblem(30.0, math.radians(15.0))
 rule = wf.gauss_legendre(wf.required_points(4))
-coeffs = wf.poiseuille_guess(dofmap, np.float64)
+coeffs = wf.poiseuille_guess(dofmap).astype(np.float64)
 jac = wf.assemble_jacobian(problem, dofmap, coeffs, rule)
 x = wf.solve_banded(jac, -wf.assemble_residual(problem, dofmap, coeffs, rule))
 line = wf.build_dofmap(wf.build_mesh(2), wf.hierarchic_family(1))  # two elements, three DOFs
@@ -282,7 +289,7 @@ def test_residual_poiseuille_interpolant():
         for p in (3, 4, 5):
             dm = wf.build_dofmap(wf.build_mesh(n), wf.hermite_family(p), wf.jh_constraints())
             rule = wf.gauss_legendre(wf.required_points(p))
-            coeffs = wf.poiseuille_guess(dm, dtype=np.float64)
+            coeffs = wf.poiseuille_guess(dm).astype(np.float64)
             res = wf.assemble_residual(prob, dm, coeffs, rule)
             assert np.max(np.abs(res)) <= 1e-12
 
@@ -493,16 +500,14 @@ def test_quadrature_fields_tables_match_eval_family(family, dtype):
     rule = wf.gauss_legendre(family.degree + 2)
     coeffs = np.random.default_rng(family.degree).standard_normal(dm.n_global).astype(dtype)
     expected = _tables_from_eval_family(family, rule, 1.0 / n, dtype)
+    ce = coeffs[dm.element_dofs]
     for _ in range(2):  # the second call reads the cached reference tables
-        tables, (f, fp) = solver.quadrature_fields(dm, coeffs, rule)
-        for got, want in zip(tables, expected):
+        fields = solver.quadrature_fields(dm, coeffs, rule)
+        for got, want in zip(fields, expected):
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.dtype == np.dtype(dtype)
-                assert np.array_equal(got, want)
-        ce = coeffs[dm.element_dofs]
-        assert np.array_equal(f, ce @ expected[0])
-        assert np.array_equal(fp, ce @ expected[1])
+                assert np.array_equal(got, ce @ want)
 
 
 @pytest.mark.parametrize("n", [3, 7, 10])
@@ -518,7 +523,9 @@ def test_evaluate_matches_quadrature_fields(family, n):
     rule = wf.QuadratureRule(points, np.full(8, 1 / 8), 1)
     coeffs = np.random.default_rng(n).standard_normal(dm.n_global)
     n_derivs = 2 if family.kind == wf.HERMITE else 1
-    tables, fields = solver.quadrature_fields(dm, coeffs, rule, n_derivs)
+    fields = solver.quadrature_fields(dm, coeffs, rule)
+    assert (fields[2] is None) == (n_derivs == 1)
+    tables = _tables_from_eval_family(family, rule, 1.0 / n, np.float64)
     # only points whose element and local coordinate survive eta * n exactly
     elem = np.arange(n)[:, None]
     eta = (elem + rule.points) / n
