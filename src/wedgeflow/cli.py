@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -431,7 +432,16 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    """Run a whole `wedgeflow` process. SciPy's OpenBLAS, loaded by the first solve, gets
+    one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set:
+    `dgbsv` on these narrow bands never threads, and an idle worker spins on the solve's core.
+    `gc.freeze()` spares exit the collections over every object the imports made. Both act on
+    the whole process, so they happen here and not at import; callers of `run()` get neither."""
+    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    rc = run()
+    gc.freeze()
+    sys.exit(rc)
 
 
 if __name__ == "__main__":

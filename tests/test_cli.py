@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import subprocess
 
 import numpy as np
 import pytest
@@ -671,6 +672,76 @@ def test_python_m_cli_runs_without_warnings():
     proc = run_fresh(MODULE_MAIN_SCRIPT, "solve", "--nelem", "4")
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[0] == "[]"
+
+
+# ----------------------------------------------------------- process entry
+
+# The `wedgeflow` console script's launch, as perfbench's cli_cold runs it.
+CLI_LAUNCH = "import sys; from wedgeflow.cli import main; sys.argv[0] = 'wedgeflow'; main()"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "--orders", "3", "--nelems", "10,20,40"],
+        ["check", "--nelem", "8"],
+        ["solve", "--order", "6"],
+    ],
+)
+def test_process_entry_prints_what_run_prints(capsys, monkeypatch, argv):
+    """`main()` sets the thread default and freezes the heap around `run`; the
+    process must still print the same bytes and exit with the same code.  The
+    child's stdout is block-buffered, as a console script's is, so output that
+    exit failed to flush would be missing."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    try:
+        proc = run_fresh(CLI_LAUNCH, *argv)
+    except subprocess.CalledProcessError as exc:  # a non-zero exit code
+        proc = exc
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_capture(capsys, argv)
+    if argv[0] == "solve":
+        assert proc.returncode == 2 and proc.stdout == ""
+
+
+# Clears the three variables OpenBLAS reads, presets those in argv[1], then
+# records the environment after `import wedgeflow.cli` and the one that `run`
+# sees under `main()`, and whether LAPACK was loaded before `main()`.
+THREAD_DEFAULT_SCRIPT = """
+import json, os, sys
+VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+for name in VARS:
+    os.environ.pop(name, None)
+os.environ.update(json.loads(sys.argv[1]))
+before = dict(os.environ)
+from wedgeflow import cli, solver
+unchanged = dict(os.environ) == before
+lapack_loaded = solver._dgbsv.cache_info().currsize
+seen = {}
+def stub(argv=None):
+    seen.update({name: os.environ.get(name) for name in VARS})
+    return 0
+cli.run = stub
+try:
+    cli.main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([unchanged, lapack_loaded, code, seen]))
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, seen",
+    [
+        ({}, {"OPENBLAS_NUM_THREADS": "1"}),
+        ({"OPENBLAS_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "3"}),
+        ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+        ({"GOTO_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}),
+    ],
+)
+def test_main_defaults_openblas_to_one_thread_unless_a_variable_is_set(preset, seen):
+    proc = run_fresh(THREAD_DEFAULT_SCRIPT, json.dumps(preset))
+    expected = {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    assert json.loads(proc.stdout) == [True, 0, 0, {**expected, **seen}]
 
 
 # ----------------------------------------------------------------- helpers
