@@ -6,12 +6,14 @@ Line 1: for (Re, half-angle) = (30, 15 deg), (-80, 5 deg) and (0, 15 deg),
 Hermite degree p = 3..5 and N = 1, 2, 7, 160, 320, 2560 elements, the digest
 covers each solve's coefficients, Newton step count, stop reason and residual
 history, its L2/H1 errors against the shooting solution, and (f, f', f'') at
-17 equispaced points.
+the 24 points k/23, k = 0..23: 23 is prime, so none of the 22 interior
+points is a node of these meshes.
 
-Line 2: the argv, stdout, stderr and exit code of the 21 `wedgeflow`
-commands in CLI_RUNS (solve x6, table x3, fields x3, convergence x3, model x2,
+Line 2: the argv, stdout, stderr and exit code of the 22 `wedgeflow`
+commands in CLI_RUNS (solve x6, table x4, fields x3, convergence x3, model x2,
 check x2 and reference x2), run in this process through `cli.run`.  Between
-them they cover every format (csv, json, pretty) of the CLI's table writer.
+them they cover every format (csv, json, pretty) of the CLI's table writer;
+`table --nelem 7 --eta-step 0.1` evaluates between the nodes.
 
 Two builds that print the same lines return the same results bit for bit on
 this grid and print the same bytes for these commands; a change that is
@@ -34,7 +36,7 @@ from wedgeflow import cli
 CASES = ((30.0, 15.0), (-80.0, 5.0), (0.0, 15.0))
 DEGREES = (3, 4, 5)
 N_ELEMS = (1, 2, 7, 160, 320, 2560)
-EVAL_POINTS = np.linspace(0.0, 1.0, 17)
+EVAL_POINTS = np.linspace(0.0, 1.0, 24)
 ERROR_RULE = wf.gauss_legendre(8)  # exactness 15 >= 2p + 4 for p <= 5
 
 ANCHOR = ["--re", "30", "--alpha-deg", "15"]
@@ -51,6 +53,7 @@ CLI_RUNS = (
     ["table", *ANCHOR],
     ["table", *REVERSE, "--order", "5", "--eta-step", "0.05", "--output", "csv"],
     ["table", *ANCHOR, "--output", "json"],
+    ["table", "--nelem", "7", "--eta-step", "0.1", "--output", "csv"],
     FIELDS,
     [*FIELDS, "--output", "csv"],
     [*FIELDS, "--output", "json"],

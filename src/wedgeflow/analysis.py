@@ -11,7 +11,7 @@ import numpy as np
 from .basis import HERMITE
 from .quadrature import QuadratureRule, gauss_legendre
 from .shooting import ReferenceSolution, evaluate_reference
-from .solver import FemSolution, FluidProps, JhProblem, quadrature_fields
+from .solver import FemSolution, FluidProps, JhProblem, _reference_tables
 
 RATE_WINDOW = 4  # convergence slopes are fitted over this many of the finest meshes
 
@@ -55,8 +55,9 @@ def error_norms(fem: FemSolution, ref, rule: QuadratureRule) -> ErrorNorms:
         raise ValueError(f"rule exactness {rule.exactness} below 2p + 4 = {2 * p + 4}")
     n = fem.dofmap.n_elem
     h = 1.0 / n
-    fh, fph, _ = quadrature_fields(fem.dofmap, fem.coeffs, rule)
-    x = (np.arange(n)[:, None] + rule.points[None, :]) * h
+    elem = np.arange(n)[:, None]
+    fh, fph, _ = fem.fields(elem, _reference_tables(fem.family, rule, fem.coeffs.dtype))
+    x = (elem + rule.points) * h
     ref_vals = _profile_at(ref, x.ravel())
     fr = np.asarray(ref_vals[0]).reshape(n, -1)
     fpr = np.asarray(ref_vals[1]).reshape(n, -1)
@@ -70,10 +71,10 @@ def fit_rates(rows) -> tuple[float, float]:
     """Fit log-log convergence slopes over the finest RATE_WINDOW meshes.
 
     Rows with an exactly zero error are excluded (with a warning) because the
-    corresponding rate is undefined.
+    corresponding rate is undefined.  A repeated n_elem raises ValueError.
     """
-    if len(rows) < 3:
-        raise ValueError("rate fitting needs at least 3 mesh levels")
+    if len({r.n_elem for r in rows}) < max(3, len(rows)):
+        raise ValueError("rate fitting needs at least 3 distinct mesh levels")
     rows = sorted(rows, key=lambda r: r.n_elem)
 
     def fit(errs):
@@ -161,7 +162,8 @@ def duality_pairing_check(fem: FemSolution, problem: JhProblem) -> tuple[float, 
     rule = gauss_legendre(math.ceil((3 * p + 1) / 2))
     n = fem.dofmap.n_elem
     h = 1.0 / n
-    f, fp, fpp = quadrature_fields(fem.dofmap, fem.coeffs, rule)
+    shapes = _reference_tables(fem.family, rule, fem.coeffs.dtype)
+    f, fp, fpp = fem.fields(np.arange(n)[:, None], shapes)
     c, a2 = problem.coefficients()
     integrand = fp * (fpp + c * f**2 + a2 * f)
     integral = float(np.sum(integrand @ rule.weights) * h)

@@ -50,6 +50,8 @@ def _parse_int_list(text: str) -> list[int]:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"no integers in list {text!r}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated value in list {text!r}")
     return values
 
 

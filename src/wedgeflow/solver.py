@@ -251,12 +251,12 @@ def _reference_tables(family: ElementFamily, rule: QuadratureRule, dtype: np.dty
 
 
 def basis_tables(family: ElementFamily, shapes: ShapeEval, h) -> tuple:
-    """Physical basis tables (v, d1, d2) on elements of size h.
+    """Physical basis tables (v, d1, d2) on elements of size h, in the dtype of `shapes`.
 
-    `shapes` is an `eval_family` result; the tables get the physical-slope
-    scaling (`_slope_scale`) and the 1/h and 1/h^2 chain factors, in the
-    dtype of `shapes`.  d2 is None for C0 families.  Of the physical tables,
-    only the Jacobian's P and D are scaled elsewhere (`_assembly_tables`).
+    `shapes` is an `eval_family` result; the tables get the physical-slope scaling
+    (`_slope_scale`) and the 1/h and 1/h^2 chain factors; d2 is None for C0 families.
+    `FemSolution.fields` and the assemblers use them; only the Jacobian's P and D are
+    scaled elsewhere (`_assembly_tables`).
     """
     dtype = shapes.values.dtype
     h = dtype.type(h)
@@ -267,18 +267,6 @@ def basis_tables(family: ElementFamily, shapes: ShapeEval, h) -> tuple:
     if shapes.second_derivs is not None:
         d2 = shapes.second_derivs * scale / h**2
     return v, d1, d2
-
-
-def quadrature_fields(dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule) -> tuple:
-    """(f, f', f'') of `coeffs` at the rule points of every element, each (n_elem, nq).
-
-    The triple `FemSolution.evaluate` returns: f'' is None for C0 families.
-    All arithmetic follows the dtype of `coeffs`.
-    """
-    shapes = _reference_tables(dofmap.family, rule, coeffs.dtype)
-    tables = basis_tables(dofmap.family, shapes, 1.0 / dofmap.n_elem)
-    ce = coeffs[dofmap.element_dofs]  # (n, p+1)
-    return tuple(None if t is None else np.dot(ce, t) for t in tables)
 
 
 _Tables = namedtuple("_Tables", "v d1 weights test pairs const", defaults=(None,) * 2)
@@ -414,6 +402,14 @@ class FemSolution:
     def family(self) -> ElementFamily:
         return self.dofmap.family
 
+    def fields(self, elem, shapes: ShapeEval) -> tuple:
+        """(f, f', f'') on elements `elem` at the points of `shapes`, an `eval_family` table;
+        the two broadcast together.  The one contraction of `coeffs`, in their dtype: an einsum,
+        not BLAS, so every caller gets the same bits at a point.  f'' is None for C0 families."""
+        tables = basis_tables(self.family, shapes, 1.0 / self.dofmap.n_elem)
+        ce = self.coeffs[self.dofmap.element_dofs[elem]]  # (..., p+1)
+        return tuple(None if t is None else np.einsum("...i,...i->...", ce, t.T) for t in tables)
+
     def evaluate(self, eta) -> tuple:
         """Evaluate (f, f', f'') at eta in [0, 1]; f'' is None for C0 elements."""
 
@@ -421,9 +417,8 @@ class FemSolution:
             n = self.dofmap.n_elem
             q = points * n
             elem = np.minimum(q.astype(np.intp), n - 1)
-            tables = basis_tables(self.family, eval_family(self.family, q - elem), 1.0 / n)
-            ce = self.coeffs[self.dofmap.element_dofs[elem]]  # (m, p+1)
-            return [None if t is None else np.einsum("mi,im->m", ce, t) for t in tables]
+            shapes = eval_family(self.family, (q - elem).astype(self.coeffs.dtype, copy=False))
+            return self.fields(elem, shapes)
 
         return evaluate_on_unit_interval(eta, fields_at)
 

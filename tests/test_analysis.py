@@ -96,6 +96,14 @@ def test_fit_rates_too_few_rows():
         wf.fit_rates(_rows([1.0, 0.1], n_elems=(10, 20)))
 
 
+@pytest.mark.parametrize("n_elems", [(10, 10, 10), (8, 8, 16), (10, 20, 40, 20)])
+def test_fit_rates_rejects_a_repeated_mesh_level(n_elems):
+    # equal levels make the least-squares fit rank-deficient or weight one level twice
+    errs = [2.0 * n**-4.0 for n in n_elems]
+    with pytest.raises(ValueError, match="at least 3 distinct mesh levels"):
+        wf.fit_rates(_rows(errs, n_elems=n_elems))
+
+
 def test_case_dependent_cubic_l2_rate(jh_reports):
     # p=3 L2 error converges one order faster for (110, 3) than for (30, 15)
     assert abs(jh_reports[(110.0, 3.0), 3].slope_l2 - 3.0) < 0.3

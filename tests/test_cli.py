@@ -119,6 +119,24 @@ def test_fields_rows_are_bounded_before_the_solve(capsys, monkeypatch):
     assert err == "error: --eta-step must be at least 1e-06 (at most 1000000 steps), got 1e-09\n"
 
 
+@pytest.mark.parametrize(
+    "argv, listed",
+    [
+        (["convergence", "--orders", "3", "--nelems", "10,10,10"], "10,10,10"),
+        (["convergence", "--orders", "3", "--nelems", "10,10,20"], "10,10,20"),
+        (["convergence", "--orders", "3,3", "--output", "json"], "3,3"),
+        (["model", "--orders", "1", "--nelems", "8,8,16"], "8,8,16"),
+        (["model", "--orders", "2,1,2"], "2,1,2"),
+    ],
+)
+def test_repeated_study_levels_are_a_usage_error_before_any_solve(capsys, monkeypatch, argv, listed):
+    for name in ("_fem_solve", "shoot", "model_convergence"):
+        monkeypatch.setattr(cli, name, _no_solve)
+    rc, out, err = run_capture(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: repeated value in list {listed!r}\n"
+
+
 SMALL_SOLVE = ["solve", "--nelem", "8", "--order", "3"]
 SMALL_MODEL = ["model", "--orders", "1", "--nelems", "4,8,16"]
 

@@ -495,48 +495,51 @@ def _tables_from_eval_family(family, rule, h, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
 def test_quadrature_fields_tables_match_eval_family(family, dtype):
+    # `FemSolution.fields` at the rule points of every element, from the cached tables
     n = 7
     dm = wf.build_dofmap(wf.build_mesh(n), family)
     rule = wf.gauss_legendre(family.degree + 2)
     coeffs = np.random.default_rng(family.degree).standard_normal(dm.n_global).astype(dtype)
+    fem = wf.FemSolution(dm, coeffs, True, 0, 0.0)
     expected = _tables_from_eval_family(family, rule, 1.0 / n, dtype)
     ce = coeffs[dm.element_dofs]
     for _ in range(2):  # the second call reads the cached reference tables
-        fields = solver.quadrature_fields(dm, coeffs, rule)
+        shapes = solver._reference_tables(family, rule, np.dtype(dtype))
+        fields = fem.fields(np.arange(n)[:, None], shapes)
         for got, want in zip(fields, expected):
             assert (got is None) == (want is None)
             if want is not None:
                 assert got.dtype == np.dtype(dtype)
-                assert np.array_equal(got, ce @ want)
+                assert np.array_equal(got, np.einsum("ei,iq->eq", ce, want))
 
 
 @pytest.mark.parametrize("n", [3, 7, 10])
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
 def test_evaluate_matches_quadrature_fields(family, n):
-    # `evaluate` and `quadrature_fields` share one tabulation; they differ
-    # only in how they contract it (einsum against matmul), so at the rule
-    # points they agree to a few ulps of sum_i |c_i t_i|
+    # `evaluate` and the rule-point fields share one contraction
+    # (`FemSolution.fields`), so they agree bit for bit at the same
+    # element and local coordinate, in the dtype of the coefficients
     mesh = wf.build_mesh(n)
     dm = wf.build_dofmap(mesh, family)
     # dyadic points: e + t is exact, so most of them survive eta * n exactly
     points = np.arange(1, 16, 2) / 16
     rule = wf.QuadratureRule(points, np.full(8, 1 / 8), 1)
-    coeffs = np.random.default_rng(n).standard_normal(dm.n_global)
     n_derivs = 2 if family.kind == wf.HERMITE else 1
-    fields = solver.quadrature_fields(dm, coeffs, rule)
-    assert (fields[2] is None) == (n_derivs == 1)
-    tables = _tables_from_eval_family(family, rule, 1.0 / n, np.float64)
-    # only points whose element and local coordinate survive eta * n exactly
     elem = np.arange(n)[:, None]
+    # only points whose element and local coordinate survive eta * n exactly
     eta = (elem + rule.points) / n
     exact = (np.floor(eta * n) == elem) & (eta * n - elem == rule.points)
     assert exact.sum() >= exact.size // 2
-    got = wf.FemSolution(dm, coeffs, True, 0, 0.0).evaluate(eta[exact])
-    assert (got[2] is None) == (n_derivs == 1)
-    ce = np.abs(coeffs[dm.element_dofs])
-    for k in range(n_derivs + 1):
-        bound = 4 * np.finfo(np.float64).eps * (ce @ np.abs(tables[k]))[exact]
-        assert np.all(np.abs(got[k] - fields[k][exact]) <= bound)
+    for dtype in (np.float64, np.longdouble):
+        coeffs = np.random.default_rng(n).standard_normal(dm.n_global).astype(dtype) / dtype(3)
+        fem = wf.FemSolution(dm, coeffs, True, 0, 0.0)
+        fields = fem.fields(elem, solver._reference_tables(family, rule, np.dtype(dtype)))
+        assert (fields[2] is None) == (n_derivs == 1)
+        got = fem.evaluate(eta[exact])
+        assert (got[2] is None) == (n_derivs == 1)
+        for k in range(n_derivs + 1):
+            assert got[k].dtype == np.dtype(dtype)
+            assert np.array_equal(got[k], fields[k][exact])
 
 
 def test_cached_reference_tables_are_read_only():
