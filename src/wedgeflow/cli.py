@@ -25,7 +25,7 @@ from .meshing import build_dofmap, build_mesh, jh_constraints
 # attributes of this module because perfbench/tracer.py wraps them at `cli` too.
 from .model_problem import GALERKIN, LEAST_SQUARES, model_convergence, solve_model  # noqa: F401
 from .quadrature import gauss_legendre, required_points
-from .shooting import ShootingError, check_end_tol, evaluate_reference, shoot  # noqa: F401
+from .shooting import DEFAULT_END_TOL, ShootingError, evaluate_reference, shoot  # noqa: F401
 from .solver import (
     FluidProps,
     JhProblem,
@@ -251,7 +251,7 @@ def cmd_model(args) -> int:
     formulation = LEAST_SQUARES if args.formulation == "least-squares" else GALERKIN
     orders = _parse_int_list(args.orders)
     nelems = sorted(_parse_int_list(args.nelems))
-    reports = model_convergence(orders, nelems, formulation, args.newton_tol)
+    reports = model_convergence(orders, nelems, formulation)
     return _emit_reports(reports, [f"{formulation}_p{p}" for p in orders], args)
 
 
@@ -359,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--order", type=int, default=4)
             sp.add_argument("--nelem", type=int, default=320)
         if "newton-tol" in groups:
-            sp.add_argument("--newton-tol", type=float, default=1e-12)
+            sp.add_argument("--newton-tol", type=float, default=SolverOptions.tol)
         if "shoot-tol" in groups:
-            sp.add_argument("--shoot-tol", type=float, default=1e-13)
+            sp.add_argument("--shoot-tol", type=float, default=DEFAULT_END_TOL)
         if "output" in groups:
             sp.add_argument("--output", choices=("csv", "json", "pretty"), default="pretty")
             sp.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orders", default="3,4")
     sp.add_argument("--nelems", default="20,40,80,160,320")
 
-    sp = add_command("model", cmd_model, "first-order model problem study", ("newton-tol", "output"))
+    sp = add_command("model", cmd_model, "first-order model problem study", ("output",))
     sp.add_argument("--orders", default="1..5")
     sp.add_argument("--nelems", default="8,16,32,64,128")
     sp.add_argument(
@@ -417,14 +417,13 @@ def run(argv=None) -> int:
             args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # each check applies to the commands that take the flag; the library checks --order, --nelem
+    # each check applies to the commands that take the flag; the library checks --order and
+    # --nelem, and `shoot` checks --shoot-tol before its command prints anything
     if hasattr(args, "alpha_deg") and not (0.0 < args.alpha_deg < 90.0):
         return _usage_error(f"alpha-deg must lie in (0, 90), got {args.alpha_deg}")
     try:
         if hasattr(args, "newton_tol"):
             args.opts = SolverOptions(tol=args.newton_tol)  # a bad --newton-tol exits 2 here
-        if hasattr(args, "shoot_tol"):
-            check_end_tol(args.shoot_tol)  # and so does a bad --shoot-tol
         return args.func(args)
     except (NotConverged, ShootingError, SingularMatrixError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -5,9 +5,9 @@ u(x) = cos(5 pi x / 2), in both a Galerkin formulation (integrated by parts,
 with the outflow boundary term) and a least-squares formulation.
 `solve_model(degree, n_elem, formulation)` hands the one assembled matrix, its
 prescribed rows made identity rows, to the Newton driver; at the default
-tolerance a single iteration solves the system, while tighter tolerances
-trigger extra passes that act as iterative refinement of the float64
-factorisation.
+tolerance a single iteration solves the system, while further passes act as
+iterative refinement of the float64 factorisation.  `model_convergence`
+refines every level until its correction is roundoff.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ def solve_model(degree: int, n_elem: int, formulation: str = GALERKIN,
 
     The prescribed rows of the assembled matrix become identity rows, so the
     residual A c - b reads c_i - u_i there and the same matrix is the
-    Jacobian.  One iteration suffices at the default tolerance; requesting
-    tighter tolerances makes further iterations refine the float64 solve
-    against the extended-precision residual.
+    Jacobian.  One iteration suffices at the default tolerance; a tighter
+    one, or tol 0 as `model_convergence` uses, makes further iterations
+    refine the float64 solve against the extended-precision residual.
     """
     opts = opts or SolverOptions(max_iter=10)
     dofmap = build_dofmap(build_mesh(n_elem), hierarchic_family(degree), model_constraints())
@@ -115,24 +115,20 @@ def exact_pair(x):
     return exact_solution(x), exact_derivative(x)
 
 
-def model_convergence(
-    degrees,
-    n_elems,
-    formulation: str = GALERKIN,
-    newton_tol: float = 1e-14,
-):
+def model_convergence(degrees, n_elems, formulation: str = GALERKIN):
     """Run the refinement study; returns one ConvergenceReport per degree.
 
-    The study solves at `newton_tol` = 1e-14 by default: on the finest
-    least-squares meshes the first float64 solve leaves coefficient error
-    above the discretisation error, and the extra refinement pass removes it.
+    Each level is refined until its correction is roundoff (`SolverOptions`
+    tol 0, the driver's "roundoff" stop), which takes 2-3 passes: the first
+    float64 solve leaves coefficient error above the discretisation error on
+    fine meshes, and no fixed residual tolerance removes it on every mesh.
     """
     rule = gauss_legendre(12)
     reports = []
     for p in degrees:
         rows = []
         for n in n_elems:
-            fem = solve_model(p, n, formulation, SolverOptions(tol=newton_tol, max_iter=10))
+            fem = solve_model(p, n, formulation, SolverOptions(tol=0.0, max_iter=10))
             rows.append(error_norms(fem, exact_pair, rule))
         reports.append(make_report(rows))
     return reports

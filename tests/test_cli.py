@@ -201,6 +201,7 @@ def test_check_reports_failed_solve(capsys, monkeypatch):
     [
         ["model", "--re", "30"],
         ["model", "--shoot-tol", "1e-13"],
+        ["model", "--newton-tol", "1e-12"],
         ["reference", "--order", "4"],
         ["reference", "--newton-tol", "1e-12"],
         ["convergence", "--nelem", "40"],
@@ -231,7 +232,7 @@ SOLVE_FLAGS = {"--re", "--alpha-deg", "--order", "--nelem", "--newton-tol", "--o
         ("table", SOLVE_FLAGS | {"--eta-step"}),
         ("convergence", {"--re", "--alpha-deg", "--newton-tol", "--shoot-tol", "--output",
                          "--out", "--orders", "--nelems"}),
-        ("model", {"--newton-tol", "--output", "--out", "--orders", "--nelems", "--formulation"}),
+        ("model", {"--output", "--out", "--orders", "--nelems", "--formulation"}),
         ("fields", SOLVE_FLAGS | {"--r1", "--r2", "--nr", "--ntheta", "--nu", "--rho", "--pin"}),
         ("check", {"--re", "--alpha-deg", "--order", "--nelem", "--newton-tol"}),
     ],
@@ -469,6 +470,15 @@ def test_model_least_squares_formulation(capsys):
     )
     assert rc == 0
     assert "# least_squares_p2" in out
+
+
+def test_default_least_squares_model_study_is_optimal_at_p5(capsys):
+    # every level is refined to roundoff, so the N = 128 error is the
+    # discretisation error (a 1e-12 residual tolerance leaves a fitted 5.37)
+    argv = ["model", "--formulation", "least-squares", "--orders", "5", "--output", "json"]
+    rc, out, _err = run_capture(capsys, argv)
+    assert rc == 0
+    assert abs(json.loads(out)["reports"]["least_squares_p5"]["slope_l2"] - 6.0) < 0.05
 
 
 @pytest.mark.parametrize(

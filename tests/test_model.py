@@ -5,7 +5,7 @@ import pytest
 from conftest import MODEL_MESHES
 
 import wedgeflow as wf
-from wedgeflow import solver
+from wedgeflow import model_problem, solver
 
 # Closed-form load vector for a single linear element: b_i = int g phi_i with
 # g = u' + u, u = cos(5 pi x / 2).  Integration by parts gives
@@ -127,6 +127,30 @@ def test_errors_positive_and_decreasing(model_reports, degree, formulation):
     for a, b in zip(rows, rows[1:]):
         assert b.l2 < a.l2
         assert b.h1 < a.h1
+
+
+@pytest.mark.parametrize("formulation", [wf.GALERKIN, wf.LEAST_SQUARES])
+def test_study_refines_every_level_to_roundoff(formulation, monkeypatch):
+    solves = []
+    solve_model = model_problem.solve_model
+
+    def spy(*args):
+        fem = solve_model(*args)
+        solves.append((args[:2], fem.converged, fem.stop_reason))
+        return fem
+
+    monkeypatch.setattr(model_problem, "solve_model", spy)
+    wf.model_convergence((1, 2, 3, 4, 5), MODEL_MESHES, formulation)
+    assert [levels for levels, _, _ in solves] == [
+        (p, n) for p in (1, 2, 3, 4, 5) for n in MODEL_MESHES
+    ]
+    assert all(converged and reason == "roundoff" for _, converged, reason in solves)
+
+
+def test_study_reaches_the_roundoff_floor_on_fine_meshes():
+    # p = 5, N = 1024 reaches L2 = 3.3e-16; a 1e-14 residual tolerance stops at 2.6e-15
+    (report,) = wf.model_convergence([5], [64, 256, 1024])
+    assert report.rows[-1].l2 <= 1e-15
 
 
 def test_model_config_validation():

@@ -156,8 +156,6 @@ def test_solver_options_reject_bad_tolerances():
         with pytest.raises(ValueError, match="newton tol"):
             wf.SolverOptions(tol=bad)
     assert wf.SolverOptions(tol=0.0).tol == 0.0  # iterate to roundoff
-    with pytest.raises(ValueError, match="newton tol"):
-        wf.model_convergence([1], [8, 16], wf.GALERKIN, math.inf)
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5, True, None, "3"])
