@@ -18,7 +18,7 @@ from .analysis import error_norms, make_report
 from .basis import HIERARCHIC, eval_hierarchic, hierarchic_family
 from .meshing import build_dofmap, build_mesh, model_constraints
 from .quadrature import gauss_legendre
-from .solver import BandedMatrix, FemSolution, SolverOptions, _reference_tables, basis_tables, newton_loop
+from .solver import BandedMatrix, FemSolution, SolverOptions, _reference_tables, newton_loop
 
 _LD = np.longdouble
 _PI_LD = _LD("3.141592653589793238462643383279502884")
@@ -66,7 +66,7 @@ def assemble_model(formulation: str, dofmap, rule):
     pts = rule.points.astype(_LD)
     wts = rule.weights.astype(_LD)
     shapes = _reference_tables(dofmap.family, rule, np.dtype(_LD))
-    v, dx, _ = basis_tables(dofmap.family, shapes, h)
+    v, dx = shapes.values, shapes.first_derivs / h  # the hierarchic slope factors are 1
     mat = BandedMatrix(dofmap.n_global, dofmap.half_bandwidth, dtype=_LD)
     rhs = np.zeros(dofmap.n_global, dtype=_LD)
     if formulation == GALERKIN:

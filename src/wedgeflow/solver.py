@@ -17,11 +17,15 @@ tolerance on fine meshes.  Residuals follow the dtype of the iterate they are
 given: `newton_loop` evaluates them on a float64 copy while it is still far
 from the root, where the float64 floor (about 1e-9 on fine meshes) lies far
 below the residual, and in longdouble for the last steps and every stop
-decision.  The assemblers' tables are built once per map, rule and dtype
-(`_assembly_tables`), the map's band layout once per map (`DofMap.pair_slices`,
-`DofMap.fixed_band`); each call then runs a few large `np.dot` products,
-which, unlike `@`, have a fast loop for longdouble.  `solve_banded` hands
-LAPACK one Fortran-ordered copy of the band to factorise in place.
+decision.  Every table lives on the reference element, one set per family,
+rule and dtype (`_assembly_tables`), and the element size enters each call
+one way: the element coefficients are multiplied by the slope factors s
+(`_element_coeffs`), contracted with the reference tables, and the result is
+scaled by the powers of h (and by s for test functions).  The map's band
+layout is built once per map (`DofMap.pair_slices`, `DofMap.fixed_band`);
+each call then runs a few large `np.dot` products, which, unlike `@`, have a
+fast loop for longdouble.  `solve_banded` hands LAPACK one Fortran-ordered
+copy of the band to factorise in place.
 """
 
 from __future__ import annotations
@@ -224,12 +228,8 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
 
 
 def _slope_scale(family: ElementFamily, h, dtype) -> np.ndarray:
-    """Per-function factors that put Hermite slope DOFs in physical units.
-
-    Hermite slope DOFs store df/d(eta); the corresponding reference functions
-    are scaled by h, so evaluation against physical-derivative operators needs
-    only the 1/h and 1/h^2 chain factors.  Every other factor is 1.
-    """
+    """Per-function factors s: a Hermite slope DOF stores df/d(eta), so it weights its
+    reference function, of unit slope in the element coordinate, by h.  Every other is 1."""
     scale = np.ones(family.degree + 1, dtype=dtype)
     if family.kind == HERMITE:  # a node's DOFs are (value, slope)
         scale[1:4:2] = h
@@ -250,58 +250,44 @@ def _reference_tables(family: ElementFamily, rule: QuadratureRule, dtype: np.dty
     return shapes
 
 
-def basis_tables(family: ElementFamily, shapes: ShapeEval, h) -> tuple:
-    """Physical basis tables (v, d1, d2) on elements of size h, in the dtype of `shapes`.
-
-    `shapes` is an `eval_family` result; the tables get the physical-slope scaling
-    (`_slope_scale`) and the 1/h and 1/h^2 chain factors; d2 is None for C0 families.
-    `FemSolution.fields` and the assemblers use them; only the Jacobian's P and D are
-    scaled elsewhere (`_assembly_tables`).
-    """
-    dtype = shapes.values.dtype
-    h = dtype.type(h)
-    scale = _slope_scale(family, h, dtype)[:, None]
-    v = shapes.values * scale
-    d1 = shapes.first_derivs * scale / h
-    d2 = None
-    if shapes.second_derivs is not None:
-        d2 = shapes.second_derivs * scale / h**2
-    return v, d1, d2
-
-
 _Tables = namedtuple("_Tables", "v d1 weights test pairs const", defaults=(None,) * 2)
 
 
-@lru_cache(maxsize=2)
-def _assembly_tables(dofmap: DofMap, rule: QuadratureRule, dtype: np.dtype) -> _Tables:
-    """The assemblers' tables that depend only on (dofmap, rule, dtype): v, d1, weights and
-    the residual's [d2; v]^T h in `dtype` at h = 1 / n_elem; for the Jacobian, in float64,
-    P and D.  A Newton solve uses two sets, float64 and longdouble, so it builds each once,
-    and at most two outlive it."""
-    family, n = dofmap.family, dofmap.n_elem
+@lru_cache(maxsize=16)
+def _assembly_tables(family: ElementFamily, rule: QuadratureRule, dtype: np.dtype) -> _Tables:
+    """The assemblers' reference-element tables: v, d1, the weights and the residual's
+    test table [d2; v]^T in `dtype`; for the Jacobian, in float64, P and D.  The key holds
+    no mesh: one Newton solve uses a float64 and a longdouble set, which every mesh shares."""
     if family.kind != HERMITE:
         raise ValueError("wedge-flow assembly requires the Hermite family")
     need = 3 * family.degree - 1
     if rule.exactness < need:
         raise ValueError(f"rule exactness {rule.exactness} below required degree {need}")
-    h = dtype.type(1.0) / n
     ref = _reference_tables(family, rule, dtype)
-    v, d1, d2 = basis_tables(family, ref, h)
-    test = np.concatenate([d2, v], axis=1).T * h
-    tables = _Tables(v, d1, rule.weights.astype(dtype), test)
+    v, d1, d2 = ref.values, ref.first_derivs, ref.second_derivs
+    tables = _Tables(v, d1, rule.weights.astype(dtype), np.concatenate([d2.T, v.T]))
     if dtype == np.float64:  # the Jacobian's tables; it is always assembled in float64
         # P is (2 nq, m^2): rows q hold v_i v_j and rows nq + q hold v_i d1_j at point q;
-        # D is sum_q w_q d2_i d1_j.  h * (v_i v_j, v_i d1_j, d2_i d1_j) carry the physical-
-        # slope factors s_i s_j (`_slope_scale`) and the chain factors (h, 1, 1 / h^2).
-        rv, rd1 = ref.values, ref.first_derivs
-        scale = _slope_scale(family, h, dtype)
-        scale = np.outer(scale, scale).ravel()
-        pairs = np.concatenate([np.einsum("iq,jq->qij", rv, t, order="C") for t in (rv, rd1)])
-        pairs = pairs.reshape(2 * rule.weights.size, -1) * scale
-        pairs[: rule.weights.size] *= h
-        const = ((ref.second_derivs * rule.weights) @ rd1.T).ravel() * (scale / h**2)
-        tables = tables._replace(pairs=pairs, const=const)
+        # D is sum_q w_q d2_i d1_j
+        pairs = np.concatenate([np.einsum("iq,jq->qij", v, t, order="C") for t in (v, d1)])
+        const = ((d2 * rule.weights) @ d1.T).ravel()
+        tables = tables._replace(pairs=pairs.reshape(2 * rule.weights.size, -1), const=const)
+    for table in tables[2:]:  # every mesh shares them; v and d1 are read-only already
+        if table is not None:
+            table.setflags(write=False)
     return tables
+
+
+def _element_coeffs(dofmap: DofMap, coeffs: np.ndarray, elem=slice(None)) -> tuple:
+    """(ce, s, h) in the dtype of `coeffs`: the coefficients of elements `elem` times the
+    slope factors s (`_slope_scale`), so that they weight the reference functions, and
+    h = 1 / n_elem.  Contracting ce with a reference table gives h^k times the k-th
+    derivative; every evaluation and assembly scales by the powers of h after it."""
+    h = coeffs.dtype.type(1) / dofmap.n_elem
+    s = _slope_scale(dofmap.family, h, coeffs.dtype)
+    ce = coeffs[dofmap.element_dofs[elem]]
+    ce *= s
+    return ce, s, h
 
 
 def assemble_residual(
@@ -314,21 +300,24 @@ def assemble_residual(
     """
     coeffs = np.asarray(coeffs)
     dtype = coeffs.dtype if np.issubdtype(coeffs.dtype, np.floating) else np.dtype(np.float64)
-    tables = _assembly_tables(dofmap, rule, dtype)
+    tables = _assembly_tables(dofmap.family, rule, dtype)
     if coeffs.shape[0] != dofmap.n_global:
         raise ValueError("coefficient vector length mismatch")
     coeffs = coeffs.astype(dtype, copy=False)
-    ce = coeffs[dofmap.element_dofs]
+    ce, s, h = _element_coeffs(dofmap, coeffs)
     f, fp = np.dot(ce, tables.v), np.dot(ce, tables.d1)
     c, a2 = problem.coefficients(dtype)
-    # R_i = h sum_q f' w (phi_i'' + (c f + 4 alpha^2) phi_i): one product of
-    # [f' w, (c f + 4 alpha^2) f' w] with [d2; v]^T h; the halves are formed in place
+    # R_i = s_i sum_q (w fp / h^2 d2_i + (c f + a2) w fp v_i) with fp = h f': one product
+    # of [w fp / h^2, (c f + a2) w fp] with [d2; v]^T; the halves are formed in place
     fp *= tables.weights
     f *= c
     f += a2
     f *= fp
+    fp /= h**2
+    local = np.dot(np.concatenate([fp, f], axis=1), tables.test)
+    local *= s
     out = np.zeros(dofmap.n_global, dtype=dtype)
-    dofmap.scatter_add(out, np.dot(np.concatenate([fp, f], axis=1), tables.test))
+    dofmap.scatter_add(out, local)
     s1 = dofmap.endpoint(SLOPE, 1)
     out[s1] -= coeffs[s1]  # boundary term -f'(1) phi_i'(1)
     out[dofmap.fixed] = coeffs[dofmap.fixed] - dofmap.fixed_values  # float64 promotes exactly
@@ -339,21 +328,22 @@ def assemble_jacobian(
     problem: JhProblem, dofmap: DofMap, coeffs: np.ndarray, rule: QuadratureRule
 ) -> BandedMatrix:
     """Assemble the residual's Jacobian; constrained rows become identity rows."""
-    tables = _assembly_tables(dofmap, rule, np.dtype(np.float64))
+    tables = _assembly_tables(dofmap.family, rule, np.dtype(np.float64))
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape[0] != dofmap.n_global:
         raise ValueError("coefficient vector length mismatch")
-    ce = coeffs[dofmap.element_dofs]
+    ce, s, h = _element_coeffs(dofmap, coeffs)
     f, fp = np.dot(ce, tables.v), np.dot(ce, tables.d1)
     c, a2 = problem.coefficients()
-    # all element blocks as [c f' w, (c f + 4 alpha^2) w] P + D
+    # all element blocks as ([c fp w, (c f + a2) w] P + D / h^2) (s x s), fp = h f'
     fp *= c
     fp *= tables.weights
     f *= c
     f += a2
     f *= tables.weights
     local = np.dot(np.concatenate([fp, f], axis=1), tables.pairs)
-    local += tables.const
+    local += tables.const / h**2
+    local *= np.outer(s, s).ravel()
     local = local.reshape(*dofmap.element_dofs.shape, -1)
     s1 = dofmap.family.per_node + 1  # local index of the right node's slope: f'(1) on the last
     local[-1, s1, s1] -= 1.0  # boundary term -f'(1) phi_i'(1)
@@ -406,9 +396,10 @@ class FemSolution:
         """(f, f', f'') on elements `elem` at the points of `shapes`, an `eval_family` table;
         the two broadcast together.  The one contraction of `coeffs`, in their dtype: an einsum,
         not BLAS, so every caller gets the same bits at a point.  f'' is None for C0 families."""
-        tables = basis_tables(self.family, shapes, 1.0 / self.dofmap.n_elem)
-        ce = self.coeffs[self.dofmap.element_dofs[elem]]  # (..., p+1)
-        return tuple(None if t is None else np.einsum("...i,...i->...", ce, t.T) for t in tables)
+        ce, _s, h = _element_coeffs(self.dofmap, self.coeffs, elem)  # (..., p+1)
+        tables = (shapes.values, shapes.first_derivs, shapes.second_derivs)
+        return tuple(None if t is None else np.einsum("...i,...i->...", ce, t.T) / h**k
+                     for k, t in enumerate(tables))
 
     def evaluate(self, eta) -> tuple:
         """Evaluate (f, f', f'') at eta in [0, 1]; f'' is None for C0 elements."""
@@ -468,7 +459,10 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
     longdouble evaluation on, the loop stays in longdouble.  A float64
     residual never ends the loop: when one could (its norm is <= opts.tol, or
     the loop is about to stop for another reason), the residual is evaluated
-    again on the longdouble iterate and the decision is made on that.  So the
+    again on the longdouble iterate and the decision is made on that.  So is
+    a float64 residual at most FLOAT64_STEP times the last norm: one that fell
+    a millionfold in a step (a linear problem's first step) may sit on the
+    float64 floor, and a step computed from it would only land there.  So the
     final norm, the last history entry and the returned best iterate's norm
     all come from the longdouble iterate.
 
@@ -477,7 +471,8 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
     - "residual": the max-norm of the free residual rows is <= opts.tol and
       the predicted next step ||d_k||^3 / ||d_{k-1}||^2 is <= opts.tol as
       well (always true before the second step, so a linear solve stops after
-      one step);
+      one step, or on fine meshes after two: the first step comes from a
+      float64 residual and leaves the iterate on the float64 floor);
     - "max_iter": opts.max_iter steps were taken;
     - "roundoff": the last step was at roundoff level (ROUNDOFF_STEP) and at
       most half the step before it, so the iterate has converged as far as
@@ -514,7 +509,8 @@ def newton_loop(residual_fn, jacobian_fn, coeffs0, free_mask, opts: SolverOption
         res, rnorm = evaluate(coeffs if extended else x64)
         # a roundoff stop needs no check here: its step, at most ROUNDOFF_STEP * scale,
         # is not `far`, so `extended` is already set
-        if not extended and (rnorm <= opts.tol or iters >= opts.max_iter):
+        fell = history and rnorm <= FLOAT64_STEP * history[-1]
+        if not extended and (rnorm <= opts.tol or iters >= opts.max_iter or fell):
             extended = True
             res, rnorm = evaluate(coeffs)
         history.append(rnorm)

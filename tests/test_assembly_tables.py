@@ -1,10 +1,10 @@
-"""The per-map assembly tables (`solver._assembly_tables`) and the band solve.
+"""The assembly tables (`solver._assembly_tables`) and the band solve.
 
-The assemblers build their mesh-dependent tables once per (DofMap, rule,
-dtype) and memoise the last two sets.  These tests check that the cached
-tables never leak from one map, rule or dtype into another, that the memo
-lets go of a map two solves later, and that the band solve and its norm do
-what the uncached code did.
+The assemblers' tables live on the reference element, one set per (family,
+rule, dtype), and the element size enters each call instead.  These tests
+check that the tables never leak from one map, rule or dtype into another,
+that maps of any size share them, that no table keeps a map alive, and that
+the band solve and its norm do what the uncached code did.
 """
 
 import gc
@@ -32,6 +32,7 @@ def test_interleaved_maps_rules_and_dtypes_match_fresh_maps():
     p = 4
     rules = (wf.gauss_legendre(wf.required_points(p)), wf.gauss_legendre(wf.required_points(p) + 2))
     maps = {n: _map(n, p) for n in (7, 8)}
+    solver._assembly_tables.cache_clear()
     for sweep in range(2):  # the Jacobian on `dm` reads the float64 residual's cached tables
         for n, dm in maps.items():
             for r, rule in enumerate(rules):
@@ -45,23 +46,14 @@ def test_interleaved_maps_rules_and_dtypes_match_fresh_maps():
                     jac = wf.assemble_jacobian(prob, dm, coeffs, rule)
                     jac_fresh = wf.assemble_jacobian(prob, fresh, coeffs, rule)
                     assert np.array_equal(jac.data, jac_fresh.data)
-    assert solver._assembly_tables.cache_info().currsize <= 2
+    assert solver._assembly_tables.cache_info().currsize <= 4  # one set per (rule, dtype)
 
 
-def _table_refs(dm, rule):
-    """Weak references to `dm` and to its cached float64 and longdouble tables."""
-    refs = [weakref.ref(dm)]
+def _assert_tables_hold_no_map(family, rule):
     for dtype in (np.float64, np.longdouble):
-        tables = solver._assembly_tables(dm, rule, np.dtype(dtype))
-        refs += [weakref.ref(t) for t in (tables.v, tables.weights, tables.test)]
-    return refs
-
-
-def _solve_twice_elsewhere():
-    prob = make_problem(30.0, 15.0)
-    for n in (11, 12):
-        assert wf.newton_solve(prob, wf.build_mesh(n), wf.hermite_family(4)).converged
-    assert solver._assembly_tables.cache_info().currsize <= 2
+        tables = solver._assembly_tables(family, rule, np.dtype(dtype))
+        assert all(t is None or type(t) is np.ndarray for t in tables)
+        assert not any(isinstance(r, wf.DofMap) for r in gc.get_referents(*tables))
 
 
 def test_tables_die_with_their_map():
@@ -70,11 +62,24 @@ def test_tables_die_with_their_map():
     prob = make_problem(30.0, 15.0)
     wf.assemble_residual(prob, dm, np.zeros(dm.n_global, dtype=np.longdouble), rule)
     wf.assemble_jacobian(prob, dm, np.zeros(dm.n_global), rule)
-    refs = _table_refs(dm, rule)
+    ref = weakref.ref(dm)
     del dm
-    _solve_twice_elsewhere()
     gc.collect()
-    assert all(ref() is None for ref in refs)
+    assert ref() is None
+    _assert_tables_hold_no_map(wf.hermite_family(4), rule)
+
+
+def test_maps_of_any_size_share_one_table_set():
+    rule = wf.gauss_legendre(wf.required_points(4))
+    prob = make_problem(30.0, 15.0)
+    solver._assembly_tables.cache_clear()
+    for n in (7, 160):
+        dm = _map(n)
+        wf.assemble_residual(prob, dm, np.zeros(dm.n_global), rule)
+    info = solver._assembly_tables.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    tables = solver._assembly_tables(wf.hermite_family(4), rule, np.dtype(np.float64))
+    assert not any(t.flags.writeable for t in tables)  # shared, so never written
 
 
 def test_bad_rule_is_rejected_on_every_call():
@@ -115,9 +120,8 @@ def test_inf_norm_matches_dense(k, n_kind):
 def test_newton_solve_drops_its_tables():
     fem = wf.newton_solve(make_problem(30.0, 15.0), wf.build_mesh(20), wf.hermite_family(4))
     assert fem.converged
-    assert solver._assembly_tables.cache_info().currsize <= 2
-    refs = _table_refs(fem.dofmap, wf.gauss_legendre(wf.required_points(4)))
+    ref = weakref.ref(fem.dofmap)
     del fem
-    _solve_twice_elsewhere()  # a map two solves old, and its tables, are collectable
-    gc.collect()
-    assert all(ref() is None for ref in refs)
+    gc.collect()  # the map of a finished solve is collectable at once
+    assert ref() is None
+    _assert_tables_hold_no_map(wf.hermite_family(4), wf.gauss_legendre(wf.required_points(4)))

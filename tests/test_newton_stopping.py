@@ -232,3 +232,15 @@ def test_unconverged_loop_reports_longdouble_residuals():
     assert len(history) == 3 and history[-1] > history[0]
     assert coeffs.dtype == ld and coeffs[0] == 2
     assert rnorm == float(np.arctan(np.longdouble(2)))
+
+
+@pytest.mark.parametrize("n", [160, 320, 640])
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_linear_solves_stop_on_residual_in_two_steps(p, n):
+    # Re = 0 is linear: the first step's float64 residual falls a millionfold onto
+    # the float64 floor, so it is read again in longdouble and the second step is
+    # computed from that; before, it came from the float64 floor and took 3-4 steps
+    fem = wf.newton_solve(make_problem(0.0, 15.0), wf.build_mesh(n), wf.hermite_family(p))
+    assert fem.converged and fem.stop_reason == "residual"
+    assert fem.newton_iters <= 2
+    assert fem.final_residual_norm <= wf.SolverOptions().tol

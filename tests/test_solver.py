@@ -493,22 +493,36 @@ def _tables_from_eval_family(family, rule, h, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.kind}-p{f.degree}")
 def test_quadrature_fields_tables_match_eval_family(family, dtype):
-    # `FemSolution.fields` at the rule points of every element, from the cached tables
+    # `FemSolution.fields` at the rule points of every element: the coefficients times the
+    # slope factors, contracted with the cached reference tables, then divided by h^k
     n = 7
     dm = wf.build_dofmap(wf.build_mesh(n), family)
     rule = wf.gauss_legendre(family.degree + 2)
     coeffs = np.random.default_rng(family.degree).standard_normal(dm.n_global).astype(dtype)
     fem = wf.FemSolution(dm, coeffs, True, 0, 0.0)
-    expected = _tables_from_eval_family(family, rule, 1.0 / n, dtype)
-    ce = coeffs[dm.element_dofs]
+    h = dtype(1) / dtype(n)
+    scale = np.ones(family.degree + 1, dtype=dtype)
+    if family.kind == wf.HERMITE:
+        scale[1] = scale[3] = h
+    ce = coeffs[dm.element_dofs] * scale
+    shapes = wf.eval_family(family, rule.points.astype(dtype))
+    reference = (shapes.values, shapes.first_derivs, shapes.second_derivs)
+    expected = [None if t is None else np.einsum("ei,iq->eq", ce, t) / h**k
+                for k, t in enumerate(reference)]
+    # the same fields from physical basis tables, which round differently
+    physical = _tables_from_eval_family(family, rule, h, dtype)
+    eps = np.finfo(dtype).eps
     for _ in range(2):  # the second call reads the cached reference tables
         shapes = solver._reference_tables(family, rule, np.dtype(dtype))
         fields = fem.fields(np.arange(n)[:, None], shapes)
-        for got, want in zip(fields, expected):
-            assert (got is None) == (want is None)
+        for got, want, table in zip(fields, expected, physical):
+            assert (got is None) == (want is None) == (table is None)
             if want is not None:
                 assert got.dtype == np.dtype(dtype)
-                assert np.array_equal(got, np.einsum("ei,iq->eq", ce, want))
+                assert np.array_equal(got, want)
+                terms = np.abs(coeffs[dm.element_dofs])[:, :, None] * np.abs(table)
+                old = np.einsum("ei,iq->eq", coeffs[dm.element_dofs], table)
+                assert np.all(np.abs(got - old) <= 4 * eps * terms.sum(axis=1))
 
 
 @pytest.mark.parametrize("n", [3, 7, 10])
