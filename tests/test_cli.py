@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -101,7 +102,7 @@ class _Solved(Exception):
     """Raised by a patched `_fem_solve`: the command got past its argument checks."""
 
 
-def _no_solve(*_args):
+def _no_solve(*_args, **_kwargs):
     raise _Solved
 
 
@@ -267,6 +268,50 @@ def test_roundoff_stop_is_noted_on_stderr(capsys):
     # a solve that ends on the residual test prints nothing on stderr
     _rc, _out, err = run_capture(capsys, argv[:3] + ["--output", "csv"])
     assert err == ""
+
+
+@pytest.mark.parametrize("order, max_f", [(3, "3.61209"), (4, "1.1866")])
+def test_unresolved_solve_is_a_numerical_failure(capsys, order, max_f):
+    """At (-1e5, 30 deg) N=40 is far too coarse: Newton converges to a profile that
+    overshoots f(0) = 1, which `solve` reports instead of printing its K."""
+    argv = ["solve", "--re", "-100000", "--alpha-deg", "30", "--order", str(order),
+            "--nelem", "40"]
+    rc, out, err = run_capture(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err == (f"numerical failure: max f = {max_f} exceeds f(0) = 1 at p={order}, N=40: "
+                   "the mesh does not resolve the solution; use a finer mesh\n")
+
+
+def test_convergence_reports_a_level_that_solve_rejects(capsys):
+    """At (-80, 5 deg) one p=3 element overshoots f(0) = 1: `solve` exits 1 there,
+    but a study keeps that pre-asymptotic level as a row, with no note on stderr."""
+    case = ["--re", "-80", "--alpha-deg", "5"]
+    rc, out, err = run_capture(capsys, ["solve", *case, "--order", "3", "--nelem", "1"])
+    assert (rc, out) == (1, "") and err.startswith("numerical failure: max f = 1.01831 exceeds")
+    argv = ["convergence", *case, "--orders", "3", "--nelems", "1,2,4", "--output", "csv"]
+    rc, out, err = run_capture(capsys, argv)
+    assert (rc, err) == (0, "p3: slope_l2 = 3.917, slope_h1 = 3.088\n")  # csv puts the fit there
+    assert [line.split(",")[0] for line in out.splitlines()[2:5]] == ["1", "2", "4"]
+
+
+def test_reverse_flow_is_noted_and_keeps_stdout(capsys):
+    """Just past the separation boundary at 15 deg, Newton converges to a profile with
+    reverse flow at the walls: the same stdout as before the note, and one stderr line."""
+    argv = ["solve", "--re", "57.38", "--alpha-deg", "15", "--order", "4", "--nelem", "160"]
+    rc, out, err = run_capture(capsys, argv)
+    assert rc == 0
+    parent_stdout = [  # as printed before the note existed, each cell right-justified to 18
+        ["re", "alpha_deg", "order", "n_elem", "n_dofs", "n_constrained", "newton_iters",
+         "residual_norm", "fp1", "K"],
+        ["5.7380000000e+01", "1.5000000000e+01", "4", "160", "482", "3", "5",
+         "4.3021142204e-15", "7.3598126410e-01", "-1.7776736529e+01"],
+    ]
+    assert out == "".join("  ".join(v.rjust(18) for v in row) + "\n" for row in parent_stdout)
+    (note,) = err.splitlines()
+    assert re.fullmatch(
+        r"note: reverse flow at the walls \(min f = -5\.56\de-02\) at p=4, N=160; "
+        r"the solution is past the separation boundary", note
+    )
 
 
 def test_fields_notes_roundoff_stop_and_keeps_stdout(capsys, monkeypatch):
@@ -589,13 +634,28 @@ def test_check_command_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_check_fails_an_unresolved_profile_on_its_own_line(capsys):
+    """Where `solve` exits 1 on max f > 1, `check` prints a FAIL line for it and
+    still runs its duality and boundary-condition lines."""
+    argv = ["check", "--re", "-100000", "--alpha-deg", "30", "--order", "3", "--nelem", "40"]
+    rc, out, err = run_capture(capsys, argv)
+    assert (rc, err) == (1, "")
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "PASS quadrature exactness", "PASS jacobian finite differences",
+        "FAIL profile bounded by f(0) = 1", "FAIL duality pairing identity",
+        "PASS boundary conditions",
+    ]
+    assert "FAIL profile bounded by f(0) = 1: max f = 3.61209" in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "bcs, wrong_value",
     [
         ({(wf.VALUE, 0): 1.0, (wf.VALUE, 1): 0.0}, None),  # f'(0) left free
-        (None, 0.5),  # f'(0) prescribed, but to the wrong value
+        (None, 0.5),  # f'(0) prescribed, but to the wrong value, which lifts f above 1
+        (None, -0.5),
     ],
-    ids=["two-prescribed", "wrong-slope"],
+    ids=["two-prescribed", "wrong-slope", "wrong-falling-slope"],
 )
 def test_check_boundary_conditions_can_fail(capsys, monkeypatch, bcs, wrong_value):
     """`check` compares the solution with `jh_constraints()`, not with the
@@ -611,9 +671,13 @@ def test_check_boundary_conditions_can_fail(capsys, monkeypatch, bcs, wrong_valu
         return dataclasses.replace(fem, dofmap=dofmap, coeffs=coeffs)
 
     monkeypatch.setattr(cli, "newton_solve", solve_with_wrong_map)
-    rc, out, _err = run_capture(capsys, ["check", "--re", "30", "--nelem", "20"])
-    assert rc == 1
+    rc, out, err = run_capture(capsys, ["check", "--re", "30", "--nelem", "20"])
+    assert (rc, err) == (1, "")
     assert out.splitlines()[-1] == "FAIL boundary conditions: direct DOF reads"
+    # a profile above f(0) = 1 FAILs a line of its own; the duality and BC lines still run
+    bounded = [line for line in out.splitlines() if line.startswith("FAIL profile bounded")]
+    assert bounded == (["FAIL profile bounded by f(0) = 1: max f = 1.00273"]
+                       if wrong_value == 0.5 else [])
 
 
 # ------------------------------------------------------------ import graph
@@ -657,6 +721,30 @@ def test_only_shooting_commands_load_the_integrator():
     proc = run_fresh(IMPORT_GRAPH_SCRIPT, json.dumps(COMMANDS))
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     assert records == [[argv, 0, False, False] for argv in [["import"], *COMMANDS]]
+
+
+# Like IMPORT_GRAPH_SCRIPT: after the import and after each command, whether
+# numpy.random is in sys.modules.
+NUMPY_RANDOM_SCRIPT = """
+import ast, contextlib, io, sys
+from wedgeflow import cli
+
+def loaded():
+    return ["numpy.random" in sys.modules]
+
+print(repr([["import"], 0, *loaded()]))
+for argv in ast.literal_eval(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.run(argv)
+    print(repr([argv, rc, *loaded()]))
+"""
+
+
+def test_no_command_loads_numpy_random():
+    json_solve = ["solve", *CASE, "--order", "3", "--nelem", "20", "--output", "json"]
+    proc = run_fresh(NUMPY_RANDOM_SCRIPT, repr([*COMMANDS, json_solve]))
+    records = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    assert records == [[argv, 0, False] for argv in [["import"], *COMMANDS, json_solve]]
 
 
 # `solve` loads LAPACK without scipy.linalg; a later `import scipy.linalg` in
@@ -729,6 +817,13 @@ def test_process_entry_prints_what_run_prints(capsys, monkeypatch, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == run_capture(capsys, argv)
     if argv[0] == "solve":
         assert proc.returncode == 2 and proc.stdout == ""
+
+
+def test_check_prints_the_same_in_two_fresh_processes():
+    """`check` draws its finite-difference probes from a seeded stream."""
+    first, second = (run_fresh(CLI_LAUNCH, "check", "--nelem", "8") for _ in range(2))
+    assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
+    assert "PASS jacobian finite differences" in first.stdout
 
 
 # Clears the three variables OpenBLAS reads, presets those in argv[1], then
