@@ -63,6 +63,12 @@ class ShapeEval:
     second_derivs: np.ndarray | None = None
 
 
+def _float_points(kind: str, p: int, t) -> np.ndarray:
+    ElementFamily(kind, p)  # rejects an unsupported p
+    t = np.atleast_1d(np.asarray(t))
+    return t if np.issubdtype(t.dtype, np.floating) else t.astype(float)
+
+
 # Power-basis coefficients (ascending) of the Hermite functions on [0, 1],
 # ordered (value-left, slope-left, value-right, slope-right, bubbles...);
 # degree p uses the first p + 1 rows.
@@ -93,10 +99,7 @@ def eval_hermite(p: int, t) -> ShapeEval:
     t : float or array_like
         Reference coordinates in [0, 1].
     """
-    ElementFamily(HERMITE, p)  # rejects an unsupported p
-    t = np.atleast_1d(np.asarray(t))
-    if not np.issubdtype(t.dtype, np.floating):
-        t = t.astype(float)
+    t = _float_points(HERMITE, p, t)
     coeffs = _HERMITE_COEFFS[: p + 1].T.astype(t.dtype)  # column i: function i
     vals, d1, d2 = (nppoly.polyval(t, nppoly.polyder(coeffs, m)) for m in range(3))
     return ShapeEval(vals, d1, d2)
@@ -110,10 +113,7 @@ def eval_hierarchic(p: int, t) -> ShapeEval:
     (P_{k-2}(2t-1) - P_k(2t-1)) / (2k - 1), signed so the quadratic bubble is
     positive with its maximum at t = 0.5; every bubble vanishes at t=0 and t=1.
     """
-    ElementFamily(HIERARCHIC, p)  # rejects an unsupported p
-    t = np.atleast_1d(np.asarray(t))
-    if not np.issubdtype(t.dtype, np.floating):
-        t = t.astype(float)
+    t = _float_points(HIERARCHIC, p, t)
     vals = np.empty((p + 1, t.size), dtype=t.dtype)
     d1 = np.empty_like(vals)
     vals[0] = 1 - t

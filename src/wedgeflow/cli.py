@@ -20,19 +20,19 @@ from .analysis import (
     make_report,
     wedge_fields,
 )
-from .basis import ShapeEval, hermite_family
+from .basis import hermite_family
 from .meshing import build_dofmap, build_mesh, jh_constraints
 # `solve_model` and `evaluate_reference` are not called here; they stay
 # attributes of this module because perfbench/tracer.py wraps them at `cli` too.
 from .model_problem import GALERKIN, LEAST_SQUARES, model_convergence, solve_model  # noqa: F401
 from .quadrature import gauss_legendre, required_points
-from .shooting import DEFAULT_END_TOL, ShootingError, evaluate_reference, shoot  # noqa: F401
+from .shooting import DEFAULT_END_TOL, NEGATIVE_F_TOL, ShootingError, shoot
+from .shooting import evaluate_reference  # noqa: F401
 from .solver import (
     FluidProps,
     JhProblem,
     SingularMatrixError,
     SolverOptions,
-    _reference_tables,
     assemble_jacobian,
     assemble_residual,
     newton_solve,
@@ -41,6 +41,7 @@ from .solver import (
 CSV_FMT = "{:.16e}"  # 17 significant digits
 PRETTY_FMT = "{:.10e}"  # 11 significant digits
 MAX_ROWS = 10**6  # `table` and `fields` rows are bounded before the solve
+MAX_F = 1 + 1e-8  # f(0) = 1 is the maximum of every resolved profile
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -77,37 +78,25 @@ def _problem(args) -> JhProblem:
     return JhProblem(args.re, math.radians(args.alpha_deg))
 
 
-class NotConverged(RuntimeError):
-    """Newton ended without converging; `run` reports it and exits 1."""
-
-
-class Unresolved(RuntimeError):
-    """A converged solve whose profile exceeds f(0) = 1; `run` reports it and exits 1."""
-
-
-def _max_min_f(fem) -> tuple[float, float]:
-    """(max f, min f) at the points of the solve's own rule; only f is contracted."""
-    rule = gauss_legendre(required_points(fem.family.degree))
-    values = _reference_tables(fem.family, rule, fem.coeffs.dtype).values
-    f = fem.fields(np.arange(fem.dofmap.n_elem)[:, None], ShapeEval(values, None))[0]
-    return float(f.max()), float(f.min())
+class NumericalFailure(RuntimeError):
+    """A failed or unresolved solve, or a non-finite result; `run` reports it and exits 1."""
 
 
 def _fem_solve(problem: JhProblem, order: int, nelem: int, opts: SolverOptions, gate=True):
-    """`newton_solve` on a uniform Hermite mesh; raises `NotConverged` unless it converges
-    and, with `gate`, `Unresolved` if max f > 1.  Reverse flow and roundoff get stderr notes."""
+    """`newton_solve` on a uniform Hermite mesh; raises `NumericalFailure` unless it converges
+    and, with `gate`, if max f > 1.  Reverse flow and roundoff get stderr notes."""
     fem = newton_solve(problem, build_mesh(nelem), hermite_family(order), opts)
     if not fem.converged:
         history = "".join(f"\n  iter {i}: {rn:.3e}" for i, rn in enumerate(fem.norm_history))
-        raise NotConverged(
+        raise NumericalFailure(
             f"newton iteration did not converge at p={order}, N={nelem} "
             f"(stop reason: {fem.stop_reason}); residual-norm history:{history}"
         )
-    f_max, f_min = _max_min_f(fem) if gate else (1.0, 0.0)
-    if f_max > 1 + 1e-8:  # f(0) = 1 is the maximum of every resolved profile
-        raise Unresolved(f"max f = {f_max:.6g} exceeds f(0) = 1 at p={order}, N={nelem}: "
-                         "the mesh does not resolve the solution; use a finer mesh")
-    if f_min < -1e-12:
+    f_max, f_min = fem.f_range() if gate else (1.0, 0.0)
+    if f_max > MAX_F:
+        raise NumericalFailure(f"max f = {f_max:.6g} exceeds f(0) = 1 at p={order}, N={nelem}: "
+                               "the mesh does not resolve the solution; use a finer mesh")
+    if f_min < -NEGATIVE_F_TOL:
         print(f"note: reverse flow at the walls (min f = {f_min:.3e}) at p={order}, N={nelem}; "
               "the solution is past the separation boundary", file=sys.stderr)
     if fem.stop_reason == "roundoff":
@@ -122,8 +111,12 @@ def _fem_solve(problem: JhProblem, order: int, nelem: int, opts: SolverOptions, 
 
 def _rows(columns: dict):
     """The rows, as tuples of Python numbers, of a table of named columns (each a
-    scalar, a list or an array)."""
-    return zip(*(np.atleast_1d(c).tolist() for c in columns.values()))
+    scalar, a list or an array); a column holding inf or NaN is a `NumericalFailure`."""
+    columns = {name: np.atleast_1d(c) for name, c in columns.items()}
+    for name, c in columns.items():
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            raise NumericalFailure(f"column {name} holds a non-finite value")
+    return zip(*(c.tolist() for c in columns.values()))
 
 
 def _cell(value, fmt: str) -> str:
@@ -347,10 +340,10 @@ def cmd_check(args) -> int:
     # duality identity on a converged solve
     try:
         fem = _fem_solve(problem, args.order, args.nelem, args.opts, gate=False)
-    except NotConverged:
+    except NumericalFailure:
         report("duality pairing identity", False, "solve did not converge")
     else:
-        if (f_max := _max_min_f(fem)[0]) > 1 + 1e-8:  # wrong boundary data or a coarse mesh
+        if (f_max := fem.f_range()[0]) > MAX_F:  # wrong boundary data or a coarse mesh
             report("profile bounded by f(0) = 1", False, f"max f = {f_max:.6g}")
         lhs, rhs, diff = duality_pairing_check(fem, problem)
         report("duality pairing identity", abs(diff) <= 1e-9, f"|lhs - rhs| = {abs(diff):.2e}")
@@ -448,7 +441,7 @@ def run(argv=None) -> int:
         if hasattr(args, "newton_tol"):
             args.opts = SolverOptions(tol=args.newton_tol)  # a bad --newton-tol exits 2 here
         return args.func(args)
-    except (NotConverged, Unresolved, ShootingError, SingularMatrixError) as exc:
+    except (NumericalFailure, ShootingError, SingularMatrixError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

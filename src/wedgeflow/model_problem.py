@@ -98,7 +98,7 @@ def solve_model(degree: int, n_elem: int, formulation: str = GALERKIN,
     one, or tol 0 as `model_convergence` uses, makes further iterations
     refine the float64 solve against the extended-precision residual.
     """
-    opts = opts or SolverOptions(max_iter=10)
+    opts = opts or SolverOptions()
     dofmap = build_dofmap(build_mesh(n_elem), hierarchic_family(degree), model_constraints())
     mat, rhs = assemble_model(formulation, dofmap, gauss_legendre(MODEL_RULE_POINTS))
     mat.set_identity_rows(dofmap)
@@ -128,7 +128,7 @@ def model_convergence(degrees, n_elems, formulation: str = GALERKIN):
     for p in degrees:
         rows = []
         for n in n_elems:
-            fem = solve_model(p, n, formulation, SolverOptions(tol=0.0, max_iter=10))
+            fem = solve_model(p, n, formulation, SolverOptions(tol=0.0))
             rows.append(error_norms(fem, exact_pair, rule))
         reports.append(make_report(rows))
     return reports

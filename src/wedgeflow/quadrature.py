@@ -77,8 +77,6 @@ def gauss_legendre(n: int) -> QuadratureRule:
         raise ValueError(f"point count must be an integer, got {n!r}")
     if n < 1 or n > MAX_POINTS:
         raise ValueError(f"point count must be in [1, {MAX_POINTS}], got {n}")
-    if n == 1:
-        return QuadratureRule(np.array([0.5]), np.array([1.0]), 1)
     x, w = _legendre_nodes(n)
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, 2 * n - 1)
 

@@ -32,7 +32,7 @@ import numpy as np
 from .solver import JhProblem, evaluate_on_unit_interval
 
 DENSE_POINTS = 4097
-DEFAULT_END_TOL = 1e-13
+DEFAULT_END_TOL = 1e-13  # also the smallest end_tol: the integration error
 DEFAULT_RTOL = 1e-13
 DEFAULT_ATOL = 1e-14
 #: A smaller rtol asks for a truncation error below roundoff, which shorter
@@ -50,14 +50,6 @@ class ShootingError(RuntimeError):
     def __init__(self, message, history=()):
         super().__init__(message)
         self.history = tuple(history)
-
-
-def check_end_tol(end_tol: float):
-    """Reject an `end_tol` for |f(1)| that is not finite or lies below the integration error."""
-    if not 1e-13 <= end_tol < np.inf:  # false for NaN too
-        raise ValueError(
-            f"end_tol must be finite and at least 1e-13 (the integration error), got {end_tol!r}"
-        )
 
 
 def _check_settings(rtol: float, atol: float):
@@ -219,7 +211,9 @@ def shoot(
     A root whose sampled f falls below -NEGATIVE_F_TOL is refused with
     ShootingError too: it lies on a branch with reverse flow.
     """
-    check_end_tol(end_tol)
+    if not DEFAULT_END_TOL <= end_tol < np.inf:  # false for NaN too
+        raise ValueError(f"end_tol must be finite and at least {DEFAULT_END_TOL:g} "
+                         f"(the integration error), got {end_tol!r}")
     _check_settings(rtol, atol)
     history = []  # (s, f(1; s)) of every pass
     best = None  # (|f(1)|, s, trajectory) of the first pass with the smallest |f(1)|

@@ -45,6 +45,8 @@ from .meshing import SLOPE, VALUE, DofMap, Mesh1D, build_dofmap, jh_constraints
 from .quadrature import QuadratureRule, gauss_legendre, required_points
 
 _LD = np.longdouble
+#: The smallest half-angle, 2^-512: below it 4 alpha^2 leaves float64's normal range.
+MIN_ALPHA = float(np.sqrt(np.finfo(np.float64).tiny) / 2)
 
 
 class SingularMatrixError(RuntimeError):
@@ -79,8 +81,8 @@ class JhProblem:
     def __post_init__(self):
         if not np.isfinite(self.reynolds):
             raise ValueError(f"reynolds must be finite, got {self.reynolds!r}")
-        if not (0.0 < self.alpha < np.pi / 2):
-            raise ValueError(f"alpha must lie in (0, pi/2) radians, got {self.alpha!r}")
+        if not (MIN_ALPHA <= self.alpha < np.pi / 2):
+            raise ValueError(f"alpha must lie in [{MIN_ALPHA:.3g}, pi/2) rad, got {self.alpha!r}")
 
     @property
     def lam(self) -> float:
@@ -400,6 +402,18 @@ class FemSolution:
         tables = (shapes.values, shapes.first_derivs, shapes.second_derivs)
         return tuple(None if t is None else np.einsum("...i,...i->...", ce, t.T) / h**k
                      for k, t in enumerate(tables))
+
+    def at_rule(self, rule: QuadratureRule) -> tuple:
+        """(f, f', f'') on every element at the points of `rule`, each (n_elem, len(points))."""
+        return self.fields(np.arange(self.dofmap.n_elem)[:, None],
+                           _reference_tables(self.family, rule, self.coeffs.dtype))
+
+    def f_range(self) -> tuple[float, float]:
+        """(max f, min f) at the points of the solve's own rule; only f is contracted."""
+        rule = gauss_legendre(required_points(self.family.degree))
+        values = _reference_tables(self.family, rule, self.coeffs.dtype).values
+        f = self.fields(np.arange(self.dofmap.n_elem)[:, None], ShapeEval(values, None))[0]
+        return float(f.max()), float(f.min())
 
     def evaluate(self, eta) -> tuple:
         """Evaluate (f, f', f'') at eta in [0, 1]; f'' is None for C0 elements."""

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -824,6 +825,45 @@ def test_check_prints_the_same_in_two_fresh_processes():
     first, second = (run_fresh(CLI_LAUNCH, "check", "--nelem", "8") for _ in range(2))
     assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
     assert "PASS jacobian finite differences" in first.stdout
+
+
+def run_module_fresh(*argv: str) -> subprocess.CompletedProcess:
+    """`python -W error -m wedgeflow.cli ARGV` in a fresh interpreter, whatever its exit code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-W", "error", "-m", "wedgeflow.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+FIELDS_PAST_FLOAT64 = ["fields", "--re", "1", "--alpha-deg", "1e-150", "--nelem", "8",
+                       "--r1", "1", "--r2", "2", "--nr", "1", "--ntheta", "2",
+                       "--nu", "1", "--rho", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["solve", "--alpha-deg", "1e-300"], 2,
+         "error: alpha must lie in [7.46e-155, pi/2) rad, got 1.7453292519943295e-302"),
+        (["solve", "--alpha-deg", "1e-160"], 2,
+         "error: alpha must lie in [7.46e-155, pi/2) rad, got 1.7453292519943295e-162"),
+        (FIELDS_PAST_FLOAT64, 1, "numerical failure: column p holds a non-finite value"),
+    ],
+    ids=["solve-1e-300", "solve-1e-160", "fields-p-overflows"],
+)
+def test_a_subnormal_angle_or_a_non_finite_result_prints_nothing(argv, code, message):
+    """A half-angle whose 4 alpha^2 is subnormal is a usage error; a table column that
+    overflows float64 is a numerical failure.  Neither prints a number on stdout, a
+    traceback or a warning."""
+    proc = run_module_fresh(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
+
+
+def test_the_smallest_angles_still_solve():
+    proc = run_module_fresh("solve", "--alpha-deg", "5e-153", "--nelem", "8", "--output", "csv")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1].endswith(",-2.0000000000000000e+00,6.5656127000234882e+307")
 
 
 # Clears the three variables OpenBLAS reads, presets those in argv[1], then

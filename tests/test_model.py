@@ -147,6 +147,27 @@ def test_study_refines_every_level_to_roundoff(formulation, monkeypatch):
     assert all(converged and reason == "roundoff" for _, converged, reason in solves)
 
 
+@pytest.mark.parametrize("formulation", [wf.GALERKIN, wf.LEAST_SQUARES])
+def test_no_model_solve_comes_near_the_newton_cap(formulation, monkeypatch):
+    """A study level stops on roundoff within 3 passes and a default solve after 1,
+    so `SolverOptions.max_iter`'s default of 25 never binds."""
+    passes = []
+    solve_model = model_problem.solve_model
+
+    def spy(*args):
+        fem = solve_model(*args)
+        passes.append(fem.newton_iters)
+        return fem
+
+    monkeypatch.setattr(model_problem, "solve_model", spy)
+    wf.model_convergence((1, 2, 3, 4, 5), MODEL_MESHES, formulation)
+    assert len(passes) == 25 and max(passes) <= 3
+    for p in (1, 2, 3, 4, 5):
+        for n in MODEL_MESHES:
+            fem = wf.solve_model(p, n, formulation)
+            assert (fem.stop_reason, fem.newton_iters) == ("residual", 1), (p, n)
+
+
 def test_study_reaches_the_roundoff_floor_on_fine_meshes():
     # p = 5, N = 1024 reaches L2 = 3.3e-16; a 1e-14 residual tolerance stops at 2.6e-15
     (report,) = wf.model_convergence([5], [64, 256, 1024])

@@ -279,6 +279,15 @@ def test_problem_validation():
     assert prob.lam == pytest.approx(30.0 * 1e-3 / 0.3)
 
 
+def test_problem_rejects_a_half_angle_whose_4_alpha_squared_is_subnormal():
+    tiny = np.finfo(np.float64).tiny
+    floor = math.sqrt(tiny) / 2
+    assert 4 * floor**2 == tiny
+    assert wf.JhProblem(0.0, floor).alpha == floor
+    with pytest.raises(ValueError, match=r"alpha must lie in \[7.46e-155, pi/2\) rad"):
+        wf.JhProblem(0.0, math.nextafter(floor, 0.0))
+
+
 def test_residual_poiseuille_interpolant():
     # with Re = 0 and alpha -> 0 the equation reduces to f''' = 0, which the
     # parabolic interpolant satisfies element-exactly for every p
@@ -552,6 +561,32 @@ def test_evaluate_matches_quadrature_fields(family, n):
         for k in range(n_derivs + 1):
             assert got[k].dtype == np.dtype(dtype)
             assert np.array_equal(got[k], fields[k][exact])
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_at_rule_and_f_range_are_the_rule_point_reads(p, n):
+    """`at_rule` is `fields` on every element with the rule's cached tables, and
+    `f_range` contracts the values table alone at the solve's own rule."""
+    family = wf.hermite_family(p)
+    dm = wf.build_dofmap(wf.build_mesh(n), family, wf.jh_constraints())
+    own = wf.gauss_legendre(wf.required_points(p))
+    elem = np.arange(n)[:, None]
+    for dtype in (np.float64, np.longdouble):
+        coeffs = np.random.default_rng(10 * p + n).standard_normal(dm.n_global).astype(dtype)
+        fem = wf.FemSolution(dm, coeffs, True, 0, 0.0)
+        for rule in (own, wf.gauss_legendre(p + 4)):
+            want = fem.fields(elem, solver._reference_tables(family, rule, np.dtype(dtype)))
+            got = fem.at_rule(rule)
+            assert len(got) == 3
+            for g, w in zip(got, want):
+                assert g.dtype == np.dtype(dtype) and g.shape == (n, rule.points.size)
+                assert np.array_equal(g, w)
+        values = solver._reference_tables(family, own, np.dtype(dtype)).values
+        f_values = fem.fields(elem, wf.ShapeEval(values, None))[0]
+        f_rule = fem.at_rule(own)[0]
+        assert fem.f_range() == (float(f_values.max()), float(f_values.min()))
+        assert fem.f_range() == (float(f_rule.max()), float(f_rule.min()))
 
 
 def test_cached_reference_tables_are_read_only():
